@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -210,9 +209,9 @@ def _chk_norm_bound_formula(_seed: int) -> str:
     return f"bound(0) = 1, bound(0.1) = {val:.5f}"
 
 
-def _chk_distortion_light(seed: int) -> str:
+def _chk_distortion_light(_seed: int) -> str:
     w = wt.polynomial(2.0)
-    reports = co.distortion_experiment(w, [0.05, 0.2], N=128, lam=1.0, seed=seed)
+    reports = co.distortion_experiment(w, [0.05, 0.2], N=128, lam=1.0)
     d = [rep.distortion for rep in reports]
     assert d[0] < d[1], f"distortion not increasing: {d}"
     assert all(rep.distortion >= 1.0 - 1e-9 for rep in reports)
@@ -371,10 +370,9 @@ def _cmd_blowup(args) -> int:
     ns = _parse_int_list(args.n)
     config = {"case": args.case, "r": args.r, "p": args.p, "n": ns,
               "gamma": args.gamma, "a": args.a, "tol": args.tol,
-              "seed": args.seed, "jobs": args.jobs}
+              "seed": args.seed}
     rows = co.blowup_experiment(args.case, r=args.r, ns=ns, p=args.p,
-                                gamma=args.gamma, a=args.a, tol=args.tol,
-                                jobs=args.jobs)
+                                gamma=args.gamma, a=args.a, tol=args.tol)
     dicts = [row.to_dict() for row in rows]
     print(f"{'n':>6} {'ratio':>14} {'model':>14} {'k_n':>6} {'lower_bound':>14}")
     for row in rows:
@@ -392,10 +390,9 @@ _DISTORTION_HEADER = ["r", "N", "norm_fwd", "norm_inv", "distortion",
 def _cmd_distortion(args) -> int:
     rs = _parse_float_list(args.r)
     config = {"a": args.a, "r": rs, "N": args.N, "lambda": args.lam,
-              "tol": args.tol, "seed": args.seed, "jobs": args.jobs}
+              "tol": args.tol}
     reports = co.distortion_experiment(wt.polynomial(args.a), rs, args.N,
-                                       lam=args.lam, col_tol=args.tol,
-                                       seed=args.seed, jobs=args.jobs)
+                                       lam=args.lam, col_tol=args.tol)
     dicts = [rep.to_dict() for rep in reports]
     print(f"{'r':>8} {'norm_fwd':>12} {'norm_inv':>12} {'distortion':>12} {'bound_prod':>12}")
     for rep in reports:
@@ -507,7 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="9,16,25,36,49", help="comma-separated grid")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_blowup)
@@ -518,8 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=256, help="truncation half-width")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_distortion)

@@ -27,8 +27,7 @@ def test_verify_writes_summary(tmp_path, capsys):
 def test_blowup_csv_report(tmp_path, capsys):
     out_file = tmp_path / "blowup.csv"
     code = main(["blowup", "--case", "1", "--r", "0.5", "--gamma", "0.5",
-                 "--p", "1", "--n", "9,16", "--out", str(out_file),
-                 "--jobs", "1"])
+                 "--p", "1", "--n", "9,16", "--out", str(out_file)])
     assert code == 0
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith("# config: ")
@@ -43,14 +42,14 @@ def test_blowup_csv_report(tmp_path, capsys):
 
 def test_blowup_rejects_inadmissible_r(capsys):
     code = main(["blowup", "--case", "2", "--r", "0.6", "--a", "2",
-                 "--n", "5", "--jobs", "1"])
+                 "--n", "5"])
     assert code == 1
     assert "error" in capsys.readouterr().err.lower()
 
 
 def test_distortion_json_deterministic(tmp_path, capsys):
     args = ["distortion", "--a", "2", "--r", "0.05", "--N", "32",
-            "--format", "json", "--jobs", "1"]
+            "--format", "json"]
     f1, f2 = tmp_path / "d1.json", tmp_path / "d2.json"
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
