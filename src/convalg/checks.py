@@ -1,0 +1,383 @@
+"""The invariant checks, each defined once.
+
+Every entry of :data:`CHECKS` is ``(module, name, fn)``: ``fn`` takes no
+argument, owns its inputs and seed, raises on failure and returns a
+one-line detail string on success.  ``convalg verify`` runs the table
+through :func:`run`, and the acceptance tests run every entry.  Checks
+fail by raising :class:`CheckFailure` (or a package error from the code
+under test), never by ``assert``, so they still check under ``python -O``.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import circlemaps as cm
+from . import compops as co
+from . import groupalg as ga
+from . import seqalg as sa
+from . import weights as wt
+from .errors import AdmissibilityError, ConvalgError
+
+
+class CheckFailure(ConvalgError, AssertionError):
+    """An invariant check found its condition false."""
+
+
+def _require(condition, message: str) -> None:
+    if not condition:
+        raise CheckFailure(message)
+
+
+def _random_seq(rng: np.random.Generator, lo: int, hi: int) -> sa.TruncSeq:
+    n = hi - lo + 1
+    return sa.TruncSeq(lo, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+# ---------------------------------------------------------------------
+# weights
+# ---------------------------------------------------------------------
+
+
+def submultiplicativity_families() -> str:
+    """Submultiplicativity verdicts and constants of the four weight families."""
+    sub = wt.check_submultiplicative(wt.subexp(0.5), window=40)
+    _require(sub.submultiplicative and sub.max_excess <= 0.0,
+             f"subexp(0.5) excess {sub.max_excess:g}")
+    con = wt.check_submultiplicative(wt.constant(), window=40)
+    _require(con.submultiplicative, "the constant weight is not submultiplicative")
+    poly = wt.check_submultiplicative(wt.polynomial(2.0), window=40)
+    _require(not poly.submultiplicative and abs(poly.max_ratio - 4.0) < 1e-12,
+             f"polynomial(2) max ratio {poly.max_ratio:g}, expected 4")
+    ep = wt.check_submultiplicative(wt.exppoly(2.0), window=40)
+    _require(not ep.submultiplicative and ep.max_ratio <= 2.0 + 1e-12,
+             f"exppoly(2) max ratio {ep.max_ratio:g}, expected at most 2")
+    return "subexp exact; polynomial/exppoly weakly submultiplicative"
+
+
+def algebra_constant() -> str:
+    """The Hoelder algebra constant grows without weight and settles with one."""
+    c20 = wt.algebra_constant(wt.constant(), 2.0, 20).constant
+    c40 = wt.algebra_constant(wt.constant(), 2.0, 40).constant
+    _require(c20 >= 41.0 and c40 >= 81.0 and c40 > c20,
+             f"constant-weight C did not grow: {c20:g} -> {c40:g}")
+    p50 = wt.algebra_constant(wt.polynomial(2.0), 2.0, 50).constant
+    p100 = wt.algebra_constant(wt.polynomial(2.0), 2.0, 100).constant
+    _require(p100 >= p50 and abs(p100 - p50) < 1e-6 * p100,
+             f"polynomial C not settled: {p50:.10g} at 50, {p100:.10g} at 100")
+    return f"constant-weight C grows ({c20:.0f} -> {c40:.0f}); polynomial C = {p100:.4f}"
+
+
+# ---------------------------------------------------------------------
+# seqalg
+# ---------------------------------------------------------------------
+
+
+def convolution_oracle() -> str:
+    """Direct and DFT convolution agree on 100 random pairs, within 5 s."""
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    worst = 0.0
+    for _ in range(100):
+        lo1 = int(rng.integers(-128, 0))
+        lo2 = int(rng.integers(-128, 0))
+        f = _random_seq(rng, lo1, lo1 + int(rng.integers(1, 256)))
+        g = _random_seq(rng, lo2, lo2 + int(rng.integers(1, 256)))
+        d = sa.convolve(f, g, "direct") - sa.convolve(f, g, "fft")
+        if not d.is_zero:
+            worst = max(worst, float(np.max(np.abs(d.values))))
+    elapsed = time.perf_counter() - start
+    _require(worst < 1e-9, f"max abs deviation {worst:g}")
+    _require(elapsed < 5.0, f"took {elapsed:.1f} s")
+    return f"max deviation {worst:.2e}"
+
+
+def derivative_identity() -> str:
+    """The formal derivative of the antiderivative, sampled on the circle."""
+    rng = np.random.default_rng(0)
+    g = _random_seq(rng, -6, 9)
+    f = sa.antiderivative(g)
+    lhs = sa.gelfand_sample(sa.formal_derivative(f), 64)
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    rhs = (sa.gelfand_sample(g, 64) - g[0]) / z
+    err = float(np.max(np.abs(lhs - rhs)))
+    _require(err < 1e-12, f"derivative identity residual {err:g}")
+    return f"max residual {err:.2e}"
+
+
+# ---------------------------------------------------------------------
+# circlemaps
+# ---------------------------------------------------------------------
+
+
+def blaschke_coefficients() -> str:
+    """Closed-form Blaschke coefficients against a circle-sampling oracle."""
+    M = 4096
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    worst = 0.0
+    for r in (0.3, 0.5, 0.7):
+        c = cm.coeffs(cm.Blaschke(r), tol=1e-14)
+        table = np.zeros(M, dtype=complex)
+        table[c.indices() % M] = c.values
+        oracle = np.fft.fft(cm.map_values(cm.Blaschke(r), z)) / M
+        err = float(np.max(np.abs(table - oracle)))
+        _require(err < 1e-10, f"r={r}: max error {err:g}")
+        worst = max(worst, err)
+    return f"max deviation {worst:.2e}"
+
+
+def power_pipeline_agreement() -> str:
+    """Binary powering and the composition transform give the same powers."""
+    worst = 0.0
+    for n in (-7, -2, 2, 7, 15):
+        a = co.power_coeffs(cm.Blaschke(0.5), n, 1e-12)
+        b = cm.compose_transform(sa.delta(n), cm.Blaschke(0.5))
+        worst = max(worst, sa.l1_diff(a, b))
+    _require(worst < 1e-8, f"pipelines differ by {worst:g} in l1")
+    return f"max l1 gap {worst:.2e}"
+
+
+# ---------------------------------------------------------------------
+# compops
+# ---------------------------------------------------------------------
+
+
+def monomial_isometry() -> str:
+    """Monomial automorphisms are isometric and multiplicative."""
+    rng = np.random.default_rng(1)
+    lam = complex(np.exp(0.61j))
+    worst_n, worst_m = 0.0, 0.0
+    for p in (1.0, 2.0, 3.0):
+        for a in (1.0, 2.0):
+            w = wt.polynomial(a)
+            for _ in range(20):
+                f = _random_seq(rng, -16, 14)
+                g = _random_seq(rng, -10, 12)
+                reflect = bool(rng.integers(0, 2))
+                tf = co.standard_automorphism(f, lam, reflect)
+                base = sa.weighted_norm(f, p, w)
+                gap = abs(sa.weighted_norm(tf, p, w) - base)
+                _require(gap <= 1e-12 * base, f"isometry defect {gap / base:g}")
+                d = sa.l1_diff(
+                    co.standard_automorphism(sa.convolve(f, g), lam, reflect),
+                    sa.convolve(co.standard_automorphism(f, lam, reflect),
+                                co.standard_automorphism(g, lam, reflect)))
+                _require(d < 1e-10, f"homomorphism defect {d:g}")
+                worst_n, worst_m = max(worst_n, gap / base), max(worst_m, d)
+    return f"isometry {worst_n:.2e}, multiplicativity {worst_m:.2e}"
+
+
+def blowup_case1() -> str:
+    """Column ratios blow up like exp(c sqrt(n)) under the subexponential weight."""
+    ns = [9, 16, 25, 36, 49]
+    rows = co.blowup_experiment(1, r=0.5, ns=ns, p=1.0, gamma=0.5)
+    ratios = np.array([row.ratio for row in rows])
+    _require(np.all(np.diff(ratios) > 0), f"not increasing: {ratios}")
+    x = np.array(ns, dtype=float) ** 0.5
+    y = np.log(ratios)
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    r2 = 1.0 - np.sum((y - fitted) ** 2) / np.sum((y - np.mean(y)) ** 2)
+    _require(slope > 0, f"slope {slope:g}")
+    _require(r2 > 0.9, f"R^2 {r2:g}")
+    return "ratios " + ", ".join(f"{v:.3g}" for v in ratios) + f"; R^2 {r2:.4f}"
+
+
+def blowup_case2() -> str:
+    """Geometric growth under a^|n|(1+n^2), and the cutoff r < 1/a."""
+    ns = [5, 10, 15, 20, 25]
+    rows = co.blowup_experiment(2, r=0.3, ns=ns, p=1.0, a=2.0)
+    ratios = {row.n: row.ratio for row in rows}
+    for n in (5, 10, 15, 20):
+        _require(ratios[n + 5] / ratios[n] > 1.0, f"no growth at n={n}")
+    try:
+        co.blowup_experiment(2, r=0.6, ns=[5], p=1.0, a=2.0)
+    except AdmissibilityError:
+        pass
+    else:
+        raise CheckFailure("r = 0.6, a = 2 was not rejected")
+    return ("ratios " + ", ".join(f"{v:.3g}" for v in ratios.values())
+            + "; r=0.6 rejected")
+
+
+def unweighted_contrast() -> str:
+    """The same operator is bounded without the weight."""
+    w = wt.constant()
+    phi = cm.Blaschke(0.5)
+    vals = []
+    for n in range(-50, 51):
+        if n == 0:
+            continue
+        ratio = co.column_ratio(phi, w, 2.0, n)
+        _require(0.99 <= ratio <= 1.01, f"n={n}: ratio {ratio}")
+        vals.append(ratio)
+    return f"max |ratio - 1| {max(abs(v - 1.0) for v in vals):.2e}"
+
+
+def distortion_monotone() -> str:
+    """Distortion grows in r and is small near the identity."""
+    w = wt.polynomial(2.0)
+    reports = co.distortion_experiment(w, [0.02, 0.05, 0.1, 0.2], N=256, lam=1.0)
+    d = [rep.distortion for rep in reports]
+    _require(all(b > a for a, b in zip(d, d[1:])), f"not increasing: {d}")
+    _require(d[0] <= 1.25, f"distortion(0.02) = {d[0]:g}")
+    for rep in reports:
+        _require(rep.distortion >= 1.0 - 1e-9, f"distortion {rep.distortion:g} below 1")
+        _require(rep.nonstandard_witness, f"no witness at r={rep.r}")
+    small = co.distortion_experiment(w, [0.02], N=512, lam=1.0)[0]
+    ref = reports[0]
+    gap_fwd = abs(ref.norm_fwd - small.norm_fwd) / small.norm_fwd
+    gap_inv = abs(ref.norm_inv - small.norm_inv) / small.norm_inv
+    _require(gap_fwd < 0.01, f"N=256 vs 512 forward norm gap {gap_fwd:g}")
+    _require(gap_inv < 0.01, f"N=256 vs 512 inverse norm gap {gap_inv:g}")
+    return "distortions " + " < ".join(f"{v:.4f}" for v in d)
+
+
+def norm_bound_formula() -> str:
+    """Closed-form norm bound: unit value at r = 0 and a hand evaluation."""
+    w = wt.polynomial(2.0)
+    unit = co.composition_norm_bound(0.0, w, 1.0)
+    _require(unit == 1.0, f"bound at r=0 came out {unit}")
+    val = co.composition_norm_bound(0.1, w, 1.0)
+    _require(abs(val - 1.3453) < 1e-3, f"bound at r=0.1 came out {val}")
+    return f"bound(0) = 1, bound(0.1) = {val:.5f}"
+
+
+def chain_rule_residual(seed: int, r: float, count: int, support: int,
+                        tol: float) -> float:
+    """Largest chain-rule l1 residual for Blaschke(r) over random sequences.
+
+    Draws ``count`` complex sequences on [-support, support] from the
+    given seed; ``tol`` is passed to :func:`compops.chain_rule_check`.
+    """
+    rng = np.random.default_rng(seed)
+    phi = cm.Blaschke(r)
+    worst = 0.0
+    for _ in range(count):
+        f = _random_seq(rng, -support, support)
+        worst = max(worst, co.chain_rule_check(f, phi, tol=tol).residual_l1)
+    return worst
+
+
+def chain_rule() -> str:
+    """Derivative chain rule for Blaschke composition."""
+    worst = chain_rule_residual(2, 0.3, count=20, support=20, tol=1e-6)
+    _require(worst < 1e-6, f"residual {worst:g}")
+    return f"max l1 residual {worst:.2e}"
+
+
+# ---------------------------------------------------------------------
+# groupalg
+# ---------------------------------------------------------------------
+
+
+def standard_iso_homomorphism() -> str:
+    """Standard group isomorphisms: exhaustive delta defects."""
+    z6, z8, s3 = ga.cyclic(6), ga.cyclic(8), ga.symmetric3()
+    cases = [
+        ga.StandardIso(z6, z6, ga.cyclic_automorphism(6, 1),
+                       ga.cyclic_character(6, 1)),
+        ga.StandardIso(z6, z6, ga.cyclic_automorphism(6, 5),
+                       ga.cyclic_character(6, 2)),
+        ga.StandardIso(z6, z6, ga.cyclic_automorphism(6, 5),
+                       ga.cyclic_character(6, 0)),
+        # gamma non-real on Z_8 in all three cases
+        ga.StandardIso(z8, z8, ga.cyclic_automorphism(8, 3),
+                       ga.cyclic_character(8, 1)),
+        ga.StandardIso(z8, z8, ga.cyclic_automorphism(8, 5),
+                       ga.cyclic_character(8, 3)),
+        ga.StandardIso(z8, z8, ga.cyclic_automorphism(8, 7),
+                       ga.cyclic_character(8, 2)),
+        ga.StandardIso(s3, s3, ga.inner_automorphism(s3, 0),
+                       ga.s3_sign_character()),
+        ga.StandardIso(s3, s3, ga.inner_automorphism(s3, 1),
+                       np.ones(6, dtype=complex)),
+        ga.StandardIso(s3, s3, ga.inner_automorphism(s3, 4),
+                       ga.s3_sign_character()),
+        ga.StandardIso(s3, s3, ga.inner_automorphism(s3, 1),
+                       ga.s3_sign_character()),
+    ]
+    _require(any(np.max(np.abs(iso.gamma.imag)) > 0.1 for iso in cases[3:6]),
+             "no non-real character among the Z_8 cases")
+    worst = 0.0
+    for iso in cases:
+        rep = ga.is_algebra_homomorphism(
+            ga.standard_iso_matrix(iso), iso.source, iso.target, tol=1e-12)
+        _require(rep.is_homomorphism, f"defect {rep.max_defect:g}")
+        worst = max(worst, rep.max_defect)
+    return f"max defect {worst:.2e} over {len(cases)} isomorphisms"
+
+
+def group_scan() -> str:
+    """Automorphism census of Z_5 and the small-norm scan, within 30 s."""
+    start = time.perf_counter()
+    scan = ga.enumerate_l2_automorphisms(5)
+    _require(scan.total == 120, f"total {scan.total}")
+    _require(scan.standard_count == 20, f"standard {scan.standard_count}")
+    _require(scan.max_isometry_defect < 1e-10,
+             f"isometry defect {scan.max_isometry_defect:g}")
+    _require(scan.nonstandard_example is not None, "no nonstandard example")
+    mins = []
+    for n in (3, 4, 5, 6):
+        rep = ga.small_norm_scan(n, threshold=1.2)
+        _require(rep.all_below_threshold_standard, f"crossed at n={n}")
+        if rep.min_nonstandard_norm is not None:
+            mins.append(rep.min_nonstandard_norm)
+    elapsed = time.perf_counter() - start
+    _require(elapsed < 30.0, f"took {elapsed:.1f} s")
+    return (f"Z_5: 120 automorphisms, 20 standard; min nonstandard l1 norm "
+            f"{min(mins):.4f} for n <= 6")
+
+
+def translation_rigidity() -> str:
+    """Only the trivial twisted translation is multiplicative."""
+    for G in (ga.cyclic(2), ga.cyclic(5), ga.symmetric3()):
+        _require(ga.translation_rigidity_check(G).holds, f"failed on {G.name}")
+    return "only (1, e) survives on Z2, Z5, S3"
+
+
+CHECKS: list[tuple[str, str, Callable[[], str]]] = [
+    ("weights", "submultiplicativity-families", submultiplicativity_families),
+    ("weights", "algebra-constant", algebra_constant),
+    ("seqalg", "convolution-oracle", convolution_oracle),
+    ("seqalg", "derivative-identity", derivative_identity),
+    ("circlemaps", "blaschke-coefficients", blaschke_coefficients),
+    ("circlemaps", "power-pipeline-agreement", power_pipeline_agreement),
+    ("compops", "monomial-isometry", monomial_isometry),
+    ("compops", "blowup-case1", blowup_case1),
+    ("compops", "blowup-case2", blowup_case2),
+    ("compops", "unweighted-contrast", unweighted_contrast),
+    ("compops", "norm-bound-formula", norm_bound_formula),
+    ("compops", "distortion-monotone", distortion_monotone),
+    ("compops", "chain-rule", chain_rule),
+    ("groupalg", "standard-iso-homomorphism", standard_iso_homomorphism),
+    ("groupalg", "group-scan", group_scan),
+    ("groupalg", "translation-rigidity", translation_rigidity),
+]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+
+def run(suite: str) -> list[CheckResult]:
+    """Run the checks of one module (or ``"all"``), catching package errors."""
+    results = []
+    for module, name, fn in CHECKS:
+        if suite not in ("all", module):
+            continue
+        label = f"{module}/{name}"
+        try:
+            results.append(CheckResult(label, True, fn()))
+        except CheckFailure as exc:
+            results.append(CheckResult(label, False, str(exc)))
+        except ConvalgError as exc:
+            results.append(CheckResult(label, False, f"{type(exc).__name__}: {exc}"))
+    return results

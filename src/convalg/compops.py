@@ -74,11 +74,13 @@ class OperatorMatrix:
 
 
 def _power_columns(phi: CircleMap, n_lo: int, n_hi: int, tol: float,
-                   max_entries: int) -> dict[int, TruncSeq]:
-    """Coefficients of phi^n for all n in [n_lo, n_hi].
+                   max_entries: int) -> tuple[dict[int, TruncSeq], int, int]:
+    """Coefficients of phi^n for all n in [n_lo, n_hi], and their row span.
 
-    Positive powers are built by running convolution against the base
-    expansion (one convolution per column); negative powers are the
+    Returns the columns with the first and last row index of their union.
+    A monomial's span is known exactly before any column is built.
+    Positive Blaschke powers are built by running convolution against the
+    base expansion (one convolution per column); negative powers are the
     conjugate reflections of the positive ones.  A :class:`SizeError`
     is raised as soon as the row span of the columns built so far, times
     the column count, exceeds ``max_entries``: the row span of the
@@ -86,13 +88,21 @@ def _power_columns(phi: CircleMap, n_lo: int, n_hi: int, tol: float,
     """
     if n_lo > n_hi:
         raise ParameterError("empty column range")
+    ncols = n_hi - n_lo + 1
+
+    def check_span(m_lo, m_hi) -> None:
+        if (m_hi - m_lo + 1) * ncols > max_entries:
+            raise SizeError(f"matrix of at least {m_hi - m_lo + 1}x{ncols} "
+                            "entries exceeds the size cap")
+
+    if isinstance(phi, Monomial):
+        m_lo, m_hi = sorted((phi.power * n_lo, phi.power * n_hi))
+        check_span(m_lo, m_hi)
+        cols = {n: delta(phi.power * n, _unit_power(phi.lam, n))
+                for n in range(n_lo, n_hi + 1)}
+        return cols, m_lo, m_hi
     cols: dict[int, TruncSeq] = {0: delta(0)}
     top = max(abs(n_lo), abs(n_hi))
-    if isinstance(phi, Monomial):
-        for n in range(n_lo, n_hi + 1):
-            cols[n] = delta(phi.power * n, _unit_power(phi.lam, n))
-        return cols
-    ncols = n_hi - n_lo + 1
     m_lo, m_hi = (0, 0) if n_lo <= 0 <= n_hi else (math.inf, -math.inf)
     base = coeffs(phi, tol / (100.0 * (top + 1.0)))
     step_budget = tol / (4.0 * max(1, top))
@@ -106,26 +116,19 @@ def _power_columns(phi: CircleMap, n_lo: int, n_hi: int, tol: float,
             m_lo, m_hi = min(m_lo, cur.lo), max(m_hi, cur.hi)
         if n_lo <= -n <= n_hi:
             m_lo, m_hi = min(m_lo, -cur.hi), max(m_hi, -cur.lo)
-        if m_lo <= m_hi and (m_hi - m_lo + 1) * ncols > max_entries:
-            raise SizeError(f"matrix of at least {m_hi - m_lo + 1}x{ncols} "
-                            "entries exceeds the size cap")
+        if m_lo <= m_hi:
+            check_span(m_lo, m_hi)
     for n in range(-1, n_lo - 1, -1):
         cols[n] = reflect_conj(cols[-n])
-    return {n: cols[n] for n in range(n_lo, n_hi + 1)}
+    return {n: cols[n] for n in range(n_lo, n_hi + 1)}, m_lo, m_hi
 
 
 def build_matrix(phi: CircleMap, n_range: tuple[int, int],
                  tol: float = 1e-10) -> OperatorMatrix:
     """Assemble the truncated matrix of C_phi over the given column range."""
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    cols = _power_columns(phi, n_lo, n_hi, tol, MAX_MATRIX_ENTRIES)
-    m_lo = min(c.lo for c in cols.values() if not c.is_zero)
-    m_hi = max(c.hi for c in cols.values() if not c.is_zero)
-    rows = m_hi - m_lo + 1
-    ncols = n_hi - n_lo + 1
-    if rows * ncols > MAX_MATRIX_ENTRIES:
-        raise SizeError(f"matrix of {rows}x{ncols} entries exceeds the size cap")
-    M = np.zeros((rows, ncols), dtype=np.complex128)
+    cols, m_lo, m_hi = _power_columns(phi, n_lo, n_hi, tol, MAX_MATRIX_ENTRIES)
+    M = np.zeros((m_hi - m_lo + 1, n_hi - n_lo + 1), dtype=np.complex128)
     for n, c in cols.items():
         if not c.is_zero:
             M[c.lo - m_lo: c.lo - m_lo + c.support_len, n - n_lo] = c.values

@@ -1,37 +1,41 @@
 """Exception types shared across the package."""
 
 
-class ParameterError(ValueError):
+class ConvalgError(Exception):
+    """Base of every package error; each subclass also keeps a builtin base."""
+
+
+class ParameterError(ConvalgError, ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
-class DomainError(ValueError):
+class DomainError(ConvalgError, ValueError):
     """An evaluation point lies outside the domain of the object."""
 
 
-class SizeError(ValueError):
+class SizeError(ConvalgError, ValueError):
     """A requested computation exceeds the supported index range."""
 
 
-class RangeError(OverflowError):
+class RangeError(ConvalgError, OverflowError):
     """A weight or intermediate value overflows the floating range."""
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(ConvalgError, RuntimeError):
     """An adaptive computation failed to reach the requested accuracy."""
 
 
-class AdmissibilityError(ValueError):
+class AdmissibilityError(ConvalgError, ValueError):
     """Experiment parameters violate an admissibility condition."""
 
 
-class CharacterError(ValueError):
+class CharacterError(ConvalgError, ValueError):
     """A supplied character is invalid (vanishing or non-multiplicative)."""
 
 
-class SingularityError(ArithmeticError):
+class SingularityError(ConvalgError, ArithmeticError):
     """A map derivative vanishes where its reciprocal is needed."""
 
 
-class InvertibilityError(ArithmeticError):
+class InvertibilityError(ConvalgError, ArithmeticError):
     """A matrix that must be invertible is singular or ill-conditioned."""

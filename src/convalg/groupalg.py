@@ -370,15 +370,13 @@ class RigidityReport:
     admissible_x: tuple[int, ...]
 
 
-def translation_rigidity_check(G: FiniteGroup, w=None, p: float = 1.0) -> RigidityReport:
+def translation_rigidity_check(G: FiniteGroup) -> RigidityReport:
     """Scaled translations f -> c * f(x^{-1} .) are never nontrivial automorphisms.
 
     Exact algebraic test: such an operator is multiplicative iff
     x(ab) = (xa)(xb) for all a, b (which forces x = e) and c^2 = c with
-    c != 0 (which forces c = 1).  The weight and exponent do not enter;
-    they are accepted for interface parity.
+    c != 0 (which forces c = 1), whatever the weight and exponent.
     """
-    del w, p
     t = G.table
     good = []
     for x in range(G.order):

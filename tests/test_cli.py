@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from convalg import __version__
+from convalg import __version__, checks
 from convalg.cli import main
+from convalg.errors import SizeError
 
 
 def test_verify_weights_suite_passes(capsys):
@@ -22,6 +23,37 @@ def test_verify_writes_summary(tmp_path, capsys):
     assert doc["version"] == __version__
     assert doc["config"]["suite"] == "seqalg"
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_verify_lists_each_registered_check_once(monkeypatch, tmp_path, capsys):
+    # the acceptance tests run the check bodies; here each is stubbed out
+    registry = [(module, name, lambda: "stub") for module, name, _ in checks.CHECKS]
+    monkeypatch.setattr(checks, "CHECKS", registry)
+    out_file = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "all", "--out", str(out_file)]) == 0
+    doc = json.loads(out_file.read_text())
+    assert [c["name"] for c in doc["checks"]] == \
+        [f"{module}/{name}" for module, name, _ in registry]
+
+
+def test_verify_reports_failed_checks(monkeypatch, capsys):
+    def false_condition():
+        checks._require(1.0 > 2.0, "one is not above two")
+        return "unreachable"
+
+    def package_error():
+        raise SizeError("too big")
+
+    monkeypatch.setattr(checks, "CHECKS", [
+        ("seqalg", "false-condition", false_condition),
+        ("seqalg", "package-error", package_error),
+        ("seqalg", "passing", lambda: "fine")])
+    assert main(["verify", "--suite", "seqalg"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  seqalg/false-condition: one is not above two" in out
+    assert "FAIL  seqalg/package-error: SizeError: too big" in out
+    assert "PASS  seqalg/passing: fine" in out
+    assert "1/3 checks passed" in out
 
 
 def test_blowup_csv_report(tmp_path, capsys):

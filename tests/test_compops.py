@@ -105,6 +105,24 @@ def test_entry_cap_refuses_exactly_the_oversize_builds(monkeypatch, r, n_range):
     assert np.array_equal(capped.entries, full.entries)
 
 
+def test_monomial_entry_cap_uses_the_exact_span(monkeypatch):
+    # z -> lam z^-3 on columns 2..9 fills rows -27..-6, one entry a column,
+    # and row 0 stays out because column 0 is not requested
+    lam = np.exp(0.3j)
+    phi = cm.Monomial(lam, -3)
+    full = co.build_matrix(phi, (2, 9))
+    assert (full.m_lo, full.m_hi) == (-27, -6)
+    expected = np.zeros((22, 8), dtype=complex)
+    for n in range(2, 10):
+        expected[27 - 3 * n, n - 2] = lam ** n
+    np.testing.assert_allclose(full.entries, expected, atol=1e-12)
+    with pytest.raises(SizeError):
+        co.build_matrix(cm.Monomial(1.0, 2), (-3000, 3000))  # 12001 x 6001
+    monkeypatch.setattr(co, "MAX_MATRIX_ENTRIES", full.entries.size - 1)
+    with pytest.raises(SizeError):
+        co.build_matrix(phi, (2, 9))
+
+
 # ------------------------------------------------------------- column ratios
 
 

@@ -287,12 +287,6 @@ def test_translation_rigidity_on_small_groups():
         assert list(rep.admissible_x) == [G.identity]
 
 
-def test_rigidity_ignores_weight_and_p():
-    G = ga.cyclic(5)
-    w = wt.tabulated(np.array([1.0, 5.0, 2.0, 2.0, 5.0]), group=G)
-    assert ga.translation_rigidity_check(G, w, p=3.0).holds
-
-
 # -------------------------------------------------------------- the census
 
 
