@@ -137,6 +137,8 @@ def _cmd_distortion(args) -> int:
 def _cmd_group_scan(args) -> int:
     config = {"n": args.n, "norm_n": _parse_int_list(args.norm_n),
               "threshold": args.threshold}
+    for m in (args.n, *config["norm_n"]):
+        ga.check_scan_order(m)
     scan = ga.enumerate_l2_automorphisms(args.n)
     print(f"Z_{args.n}: {scan.total} dual-permutation automorphisms, "
           f"{scan.standard_count} standard (affine), "

@@ -7,13 +7,15 @@ isomorphisms built from a character and a group isomorphism, a
 classifier for general matrices, the dual-permutation automorphisms of
 the cyclic group obtained by conjugating a permutation with the DFT,
 and a scan of their l1 operator norms against the 1.2 threshold.
+Both scans are exhaustive: all n! permutations (n <= 9) go through
+batched numpy kernels in blocks, and none is sampled or skipped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -279,13 +281,18 @@ def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup,
     return HomReport(worst <= tol, worst, tol)
 
 
-def _hom_defect_cyclic(T: np.ndarray, n: int) -> float:
-    """Homomorphism defect on Z_n via the convolution theorem, vectorized."""
-    U = np.fft.fft(T, axis=0)
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    lhs = U[:, table]                      # (n, n, n): j, a, b
-    rhs = np.einsum("ja,jb->jab", U, U)
-    return float(np.max(np.abs(np.fft.ifft(rhs - lhs, axis=0))))
+def _hom_defect_cyclic(T: np.ndarray) -> float:
+    """Largest homomorphism defect over a (B, n, n) stack of matrices on Z_n.
+
+    T delta_a * T delta_b - T delta_{a+b} is the inverse DFT over j of
+    V_a V_b - V_{a+b}, V_a the DFT of column a.  Pairs a > b are skipped:
+    floating-point products commute, so their defects equal (b, a)'s.
+    """
+    n = T.shape[-1]
+    V = np.fft.fft(T.transpose(0, 2, 1), axis=-1)            # (B, a, j)
+    a, b = np.triu_indices(n)
+    D = V[:, a, :] * V[:, b, :] - V[:, (a + b) % n, :]
+    return float(np.max(np.abs(np.fft.ifft(D, axis=-1))))
 
 
 @dataclass(frozen=True)
@@ -392,20 +399,43 @@ def translation_rigidity_check(G: FiniteGroup) -> RigidityReport:
 # ---------------------------------------------------------------------
 
 
-def _fourier_conjugated(sigma: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """T = F^{-1} P_sigma F where (P_sigma v)(j) = v(sigma(j))."""
-    return np.fft.ifft(F[sigma, :], axis=0)
+_BLOCK_ENTRIES = 16384  # B * n**3 per block of B perms: the size of its hom defect
+
+
+def check_scan_order(n: int) -> None:
+    """Refuse orders whose n! permutations the scans below do not cover."""
+    if not 1 <= n <= 9:
+        raise SizeError(f"factorial scans are capped at 1 <= n <= 9, got {n}")
+
+
+def _fourier_conjugated(sigmas: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack T_i = F^{-1} P_sigma F, sigma = sigmas[i], (P_sigma v)(j) = v(sigma(j))."""
+    return np.fft.ifft(F[sigmas], axis=1)
+
+
+def affine_mask(sigmas: np.ndarray, n: int) -> np.ndarray:
+    """Which rows sigma of a (B, n) array are j -> (a j + k) mod n with gcd(a, n) = 1."""
+    sigmas = np.asarray(sigmas)
+    if n == 1:
+        return np.ones(len(sigmas), dtype=bool)
+    k = sigmas[:, 0]
+    a = (sigmas[:, 1] - k) % n
+    line = (a[:, None] * np.arange(n) + k[:, None]) % n
+    return (np.gcd(a, n) == 1) & np.all(sigmas == line, axis=1)
 
 
 def is_affine_perm(sigma: np.ndarray, n: int) -> bool:
     """Whether sigma(j) = (a j + k) mod n with gcd(a, n) = 1."""
-    if n == 1:
-        return True
-    k = int(sigma[0])
-    a = int((sigma[1] - sigma[0]) % n)
-    if math.gcd(a, n) != 1:
-        return False
-    return bool(np.array_equal(sigma, (a * np.arange(n) + k) % n))
+    return bool(affine_mask(np.asarray(sigma)[None, :], n)[0])
+
+
+def _dual_permutation_blocks(n: int):
+    """All n! permutations in lexicographic order as (sigmas, T, affine) blocks."""
+    F = np.fft.fft(np.eye(n), axis=0)
+    perms = itertools.permutations(range(n))
+    while block := list(itertools.islice(perms, max(1, _BLOCK_ENTRIES // n ** 3))):
+        sigmas = np.asarray(block, dtype=np.intp)
+        yield sigmas, _fourier_conjugated(sigmas, F), affine_mask(sigmas, n)
 
 
 def affine_standard_iso(n: int, a: int, k: int) -> StandardIso:
@@ -433,21 +463,12 @@ class AutomorphismScan:
     nonstandard_example: np.ndarray | None
 
     def to_dict(self) -> dict:
-        ex = None
+        d = asdict(self)
         if self.nonstandard_example is not None:
-            ex = [[[float(v.real), float(v.imag)] for v in row]
-                  for row in self.nonstandard_example]
-        return {
-            "n": self.n,
-            "total": self.total,
-            "standard_count": self.standard_count,
-            "nonstandard_count": self.nonstandard_count,
-            "max_hom_defect": self.max_hom_defect,
-            "max_isometry_defect": self.max_isometry_defect,
-            "nonstandard_example_sigma": list(self.nonstandard_example_sigma)
-            if self.nonstandard_example_sigma is not None else None,
-            "nonstandard_example": ex,
-        }
+            d["nonstandard_example_sigma"] = list(self.nonstandard_example_sigma)
+            T = self.nonstandard_example
+            d["nonstandard_example"] = np.stack([T.real, T.imag], axis=-1).tolist()
+        return d
 
 
 def enumerate_l2_automorphisms(n: int, defect_tol: float = 1e-10) -> AutomorphismScan:
@@ -456,29 +477,21 @@ def enumerate_l2_automorphisms(n: int, defect_tol: float = 1e-10) -> Automorphis
     Every dual permutation gives an l2-isometric algebra automorphism;
     the standard ones are exactly the affine permutations
     j -> a j + k with gcd(a, n) = 1 (n * phi(n) of them).  Verifies the
-    homomorphism and isometry defects exhaustively.
+    homomorphism and isometry defects on all n! permutations; the example
+    is the first non-affine one in lexicographic order.
     """
-    if not 1 <= n <= 9:
-        raise SizeError("factorial enumeration is capped at n <= 9")
-    F = np.fft.fft(np.eye(n), axis=0)
-    eye = np.eye(n)
-    total = 0
-    standard = 0
-    max_def = 0.0
-    max_iso = 0.0
-    example: np.ndarray | None = None
-    example_sigma: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n)):
-        sigma = np.asarray(perm, dtype=np.intp)
-        T = _fourier_conjugated(sigma, F)
-        total += 1
-        max_def = max(max_def, _hom_defect_cyclic(T, n))
-        max_iso = max(max_iso, float(np.max(np.abs(T.conj().T @ T - eye))))
-        if is_affine_perm(sigma, n):
-            standard += 1
-        elif example is None:
-            example = T.copy()
-            example_sigma = perm
+    check_scan_order(n)
+    total = standard = 0
+    max_def = max_iso = 0.0
+    example = example_sigma = None
+    for sigmas, T, affine in _dual_permutation_blocks(n):
+        total += len(sigmas)
+        standard += int(np.count_nonzero(affine))
+        max_def = max(max_def, _hom_defect_cyclic(T))
+        max_iso = max(max_iso, float(np.max(np.abs(T.conj().transpose(0, 2, 1) @ T - np.eye(n)))))
+        if example is None and not affine.all():
+            i = int(np.argmin(affine))
+            example, example_sigma = T[i].copy(), tuple(int(v) for v in sigmas[i])
     if max_def > defect_tol:
         raise ParameterError(f"homomorphism defect {max_def:g} above {defect_tol:g}")
     return AutomorphismScan(n, total, standard, total - standard, max_def,
@@ -494,13 +507,7 @@ class SmallNormReport:
     all_below_threshold_standard: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold": self.threshold,
-            "min_nonstandard_norm": self.min_nonstandard_norm,
-            "max_standard_norm": self.max_standard_norm,
-            "all_below_threshold_standard": self.all_below_threshold_standard,
-        }
+        return asdict(self)
 
 
 def small_norm_scan(n: int, p: float = 1.0, threshold: float = 1.2) -> SmallNormReport:
@@ -510,23 +517,15 @@ def small_norm_scan(n: int, p: float = 1.0, threshold: float = 1.2) -> SmallNorm
     (affine) automorphisms are phased permutations of the group domain
     and have norm 1; the scan reports the smallest nonstandard norm and
     whether every automorphism with norm below the threshold is standard.
+    All n! permutations are scanned.
     """
-    if not 1 <= n <= 8:
-        raise SizeError("the norm scan is capped at n <= 8")
+    check_scan_order(n)
     if p != 1.0:
         raise ParameterError("only p = 1 is supported (exact column norms)")
-    F = np.fft.fft(np.eye(n), axis=0)
-    min_nonstd: float | None = None
-    max_std = 0.0
-    all_below_std = True
-    for perm in itertools.permutations(range(n)):
-        sigma = np.asarray(perm, dtype=np.intp)
-        T = _fourier_conjugated(sigma, F)
-        norm = float(np.max(np.sum(np.abs(T), axis=0)))
-        if is_affine_perm(sigma, n):
-            max_std = max(max_std, norm)
-        else:
-            min_nonstd = norm if min_nonstd is None else min(min_nonstd, norm)
-            if norm < threshold:
-                all_below_std = False
-    return SmallNormReport(n, threshold, min_nonstd, max_std, all_below_std)
+    min_nonstd, max_std = math.inf, 0.0
+    for _, T, affine in _dual_permutation_blocks(n):
+        norms = np.abs(T).sum(axis=1).max(axis=1)
+        max_std = max(max_std, float(norms.max(initial=0.0, where=affine)))
+        min_nonstd = min(min_nonstd, float(norms.min(initial=math.inf, where=~affine)))
+    return SmallNormReport(n, threshold, None if min_nonstd == math.inf else min_nonstd,
+                           max_std, min_nonstd >= threshold)

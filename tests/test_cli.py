@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from convalg import __version__, checks
+from convalg import __version__, checks, groupalg
 from convalg.cli import main
 from convalg.errors import SizeError
 
@@ -103,6 +103,18 @@ def test_group_scan(tmp_path, capsys):
     assert len(doc["norm_scans"]) == 2
     text = capsys.readouterr().out
     assert "24 dual-permutation automorphisms" in text
+
+
+@pytest.mark.parametrize("argv", [["--n", "9", "--norm-n", "4,12"],
+                                  ["--n", "10", "--norm-n", "4"]])
+def test_group_scan_refuses_oversize_orders_before_scanning(monkeypatch, capsys, argv):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran before the size check")
+
+    monkeypatch.setattr(groupalg, "enumerate_l2_automorphisms", no_scan)
+    monkeypatch.setattr(groupalg, "small_norm_scan", no_scan)
+    assert main(["group-scan", *argv]) == 1
+    assert "SizeError" in capsys.readouterr().err
 
 
 def test_weights_check_inline_descriptor(capsys):

@@ -1,5 +1,8 @@
 """Finite-group algebras: convolution, standard isomorphisms, census scans."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +308,61 @@ def test_is_affine_perm():
     assert not ga.is_affine_perm(np.array([0, 2, 1, 3, 4]), 5)
 
 
+def _literal_affine(n):
+    """The permutations j -> (a j + k) mod n with gcd(a, n) = 1, listed one by one."""
+    return {tuple((a * j + k) % n for j in range(n))
+            for a in range(n) if math.gcd(a, n) == 1 for k in range(n)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_affine_mask_matches_the_literal_definition(n):
+    perms = list(itertools.permutations(range(n)))
+    affine = _literal_affine(n)
+    mask = ga.affine_mask(np.asarray(perms), n)
+    assert mask.tolist() == [p in affine for p in perms]
+    assert [ga.is_affine_perm(np.asarray(p), n) for p in perms] == mask.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_census_counts_every_permutation(n):
+    scan = ga.enumerate_l2_automorphisms(n)
+    phi = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+    assert scan.total == math.factorial(n)
+    assert scan.standard_count == n * phi
+    assert scan.nonstandard_count == scan.total - scan.standard_count
+    assert scan.max_hom_defect <= 1e-10 and scan.max_isometry_defect <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_nonstandard_example_is_the_first_non_affine_permutation(n):
+    affine = _literal_affine(n)
+    first = next(p for p in itertools.permutations(range(n)) if p not in affine)
+    scan = ga.enumerate_l2_automorphisms(n)
+    assert scan.nonstandard_example_sigma == first
+    F = np.fft.fft(np.eye(n), axis=0)
+    single = np.fft.ifft(F[np.asarray(first), :], axis=0)   # one matrix, no batch
+    assert np.array_equal(scan.nonstandard_example, single)
+
+
+def test_enumerate_checks_the_last_permutation_of_the_last_block(monkeypatch):
+    n = 6
+    last = tuple(range(n - 1, -1, -1))
+    original = ga._fourier_conjugated
+    perturbed = []
+
+    def kernel(sigmas, F):
+        T = original(sigmas, F)
+        if tuple(sigmas[-1]) == last:
+            T[-1] *= 1.0 + 1e-6             # breaks T(d_a * d_b) = T d_a * T d_b
+            perturbed.append(len(sigmas))
+        return T
+
+    monkeypatch.setattr(ga, "_fourier_conjugated", kernel)
+    with pytest.raises(ParameterError):
+        ga.enumerate_l2_automorphisms(n)
+    assert len(perturbed) == 1 and perturbed[0] > 1   # one block, not one permutation
+
+
 def test_enumerate_z4_census():
     scan = ga.enumerate_l2_automorphisms(4)
     assert scan.total == 24
@@ -329,6 +387,8 @@ def test_enumerate_z5_census():
 def test_enumerate_size_cap():
     with pytest.raises(SizeError):
         ga.enumerate_l2_automorphisms(10)
+    with pytest.raises(SizeError):
+        ga.enumerate_l2_automorphisms(0)
 
 
 def test_nonstandard_example_is_a_real_automorphism():
@@ -364,4 +424,29 @@ def test_small_norm_scan_only_l1():
 
 def test_small_norm_scan_size_cap():
     with pytest.raises(SizeError):
-        ga.small_norm_scan(9)
+        ga.small_norm_scan(10)
+
+
+@pytest.mark.parametrize("n, expected", [(5, 1.894427190999916),
+                                         (7, 2.0436550888948517),
+                                         (8, 1.4142135623730951),
+                                         (9, 1.5862568277145441)])
+def test_small_norm_scan_pinned_minima(n, expected):
+    rep = ga.small_norm_scan(n)
+    assert rep.min_nonstandard_norm == pytest.approx(expected, rel=1e-12, abs=0)
+    assert rep.max_standard_norm == pytest.approx(1.0, rel=1e-12)
+    assert rep.all_below_threshold_standard
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_small_norm_scan_equals_the_per_permutation_loop(n):
+    F = np.fft.fft(np.eye(n), axis=0)
+    affine = _literal_affine(n)
+    std, nonstd = [], []
+    for p in itertools.permutations(range(n)):
+        T = np.fft.ifft(F[np.asarray(p), :], axis=0)
+        (std if p in affine else nonstd).append(float(np.max(np.sum(np.abs(T), axis=0))))
+    rep = ga.small_norm_scan(n, threshold=1.5)
+    assert rep.max_standard_norm == max(std)
+    assert rep.min_nonstandard_norm == min(nonstd)
+    assert rep.all_below_threshold_standard == (min(nonstd) >= 1.5)
