@@ -399,11 +399,11 @@ def translation_rigidity_check(G: FiniteGroup) -> RigidityReport:
 # ---------------------------------------------------------------------
 
 
-_BLOCK_ENTRIES = 16384  # B * n**3 per block of B perms: the size of its hom defect
+_BLOCK_ENTRIES = 16384  # bound on B * n**3, the size of the hom defect of B perms
 
 
 def check_scan_order(n: int) -> None:
-    """Refuse orders whose n! permutations the scans below do not cover."""
+    """Raise SizeError unless the scans below cover all n! permutations (1 <= n <= 9)."""
     if not 1 <= n <= 9:
         raise SizeError(f"factorial scans are capped at 1 <= n <= 9, got {n}")
 
@@ -426,7 +426,7 @@ def affine_mask(sigmas: np.ndarray, n: int) -> np.ndarray:
 
 def is_affine_perm(sigma: np.ndarray, n: int) -> bool:
     """Whether sigma(j) = (a j + k) mod n with gcd(a, n) = 1."""
-    return bool(affine_mask(np.asarray(sigma)[None, :], n)[0])
+    return bool(affine_mask([sigma], n)[0])
 
 
 def _dual_permutation_blocks(n: int):
