@@ -9,5 +9,5 @@ __version__ = "0.1.0"
 
 from . import circlemaps, compops, groupalg, seqalg, weights  # noqa: F401
 from .errors import (AccuracyError, AdmissibilityError, CharacterError,  # noqa: F401
-                     ConvalgError, DomainError, InvertibilityError,
-                     ParameterError, RangeError, SingularityError, SizeError)
+                     ConvalgError, DomainError, ParameterError, RangeError,
+                     SizeError)

@@ -10,6 +10,7 @@ under test), never by ``assert``, so they still check under ``python -O``.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -313,7 +314,13 @@ def standard_iso_homomorphism() -> str:
 
 
 def group_scan() -> str:
-    """Automorphism census of Z_5 and the small-norm scan, within 30 s."""
+    """Automorphism census of Z_5, its standard label, and the small-norm scan, within 30 s.
+
+    The census calls a dual permutation standard when ``affine_mask``
+    marks it; the mask must mark exactly the n phi(n) = 20 maps
+    j -> a j + k, and each of their matrices F^{-1} P_sigma F must be
+    the standard form ``affine_standard_iso(5, a, k)``.
+    """
     start = time.perf_counter()
     scan = ga.enumerate_l2_automorphisms(5)
     _require(scan.total == 120, f"total {scan.total}")
@@ -321,6 +328,20 @@ def group_scan() -> str:
     _require(scan.max_isometry_defect < 1e-10,
              f"isometry defect {scan.max_isometry_defect:g}")
     _require(scan.nonstandard_example is not None, "no nonstandard example")
+    n = 5
+    sigmas = np.asarray(list(itertools.permutations(range(n))))
+    affine = {(a, k): tuple((a * np.arange(n) + k) % n)
+              for a in range(1, n) for k in range(n)}
+    marked = {tuple(s) for s in sigmas[ga.affine_mask(sigmas, n)]}
+    _require(marked == set(affine.values()),
+             f"affine_mask marks {len(marked)} permutations, not the 20 affine ones")
+    F = np.fft.fft(np.eye(n), axis=0)
+    worst = 0.0
+    for (a, k), sigma in affine.items():
+        T = np.fft.ifft(F[list(sigma), :], axis=0)
+        std = ga.standard_iso_matrix(ga.affine_standard_iso(n, a, k))
+        worst = max(worst, float(np.max(np.abs(T - std))))
+    _require(worst <= 1e-12, f"affine dual permutation off its standard form by {worst:g}")
     mins = []
     for n in (3, 4, 5, 6):
         rep = ga.small_norm_scan(n, threshold=1.2)
@@ -329,8 +350,8 @@ def group_scan() -> str:
             mins.append(rep.min_nonstandard_norm)
     elapsed = time.perf_counter() - start
     _require(elapsed < 30.0, f"took {elapsed:.1f} s")
-    return (f"Z_5: 120 automorphisms, 20 standard; min nonstandard l1 norm "
-            f"{min(mins):.4f} for n <= 6")
+    return (f"Z_5: 120 automorphisms, 20 standard, each its standard form to "
+            f"{worst:.1e}; min nonstandard l1 norm {min(mins):.4f} for n <= 6")
 
 
 def translation_rigidity() -> str:

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ParameterError, SingularityError
+from .errors import AccuracyError, ParameterError
 from .seqalg import TruncSeq, convolve, delta, l1_diff, zero_seq
 
 MAX_LOG2_GRID = 20
@@ -60,14 +60,6 @@ def map_values(phi: CircleMap, z: np.ndarray) -> np.ndarray:
     if isinstance(phi, Monomial):
         return phi.lam * z ** phi.power
     return (z - phi.r) / (1.0 - phi.r * z)
-
-
-def eval_map(phi: CircleMap, z, tol: float = 1e-6) -> np.ndarray:
-    """Evaluate on circle points; rejects arguments far from |z| = 1."""
-    arr = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(np.abs(arr) - 1.0) > tol):
-        raise DomainError("evaluation point is not on the unit circle")
-    return map_values(phi, arr)
 
 
 def derivative_values(phi: CircleMap, z: np.ndarray) -> np.ndarray:
@@ -142,11 +134,6 @@ def reflect_conj(f: TruncSeq) -> TruncSeq:
     if f.is_zero:
         return f
     return TruncSeq(-f.hi, np.conj(f.values[::-1]))
-
-
-def reciprocal_coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
-    """Coefficients of 1/phi on the circle (conjugate reflection of coeffs)."""
-    return reflect_conj(coeffs(phi, tol))
 
 
 # ---------------------------------------------------------------------
@@ -257,33 +244,3 @@ def compose_transform(f: TruncSeq, phi: CircleMap, M: int | None = None,
         f"composition did not become l1-Cauchy below {cauchy_tol:g} "
         f"by M = 2^{MAX_LOG2_GRID} (last difference {diff:g})")
 
-
-def reciprocal_derivative_coeffs(phi: CircleMap, tol: float = 1e-10) -> TruncSeq:
-    """Coefficients of 1/phi' on the circle, via sampling and inverse DFT.
-
-    For b_r the exact answer is the quadratic polynomial
-    (1 - r z)^2 / (1 - r^2).  Raises :class:`SingularityError` when the
-    derivative nearly vanishes on the grid.
-    """
-    if isinstance(phi, Monomial) and phi.power == 0:
-        raise SingularityError("constant map has vanishing derivative")
-    M = 64
-    prev: TruncSeq | None = None
-    while M <= (1 << MAX_LOG2_GRID):
-        z = _roots_of_unity(M)
-        dv = derivative_values(phi, z)
-        if np.min(np.abs(dv)) < 1e-6:
-            raise SingularityError("derivative nearly vanishes on the circle")
-        coef = np.fft.fftshift(np.fft.fft(1.0 / dv) / M)
-        cur = TruncSeq(-(M // 2), coef)
-        if prev is not None and l1_diff(cur, prev) < tol:
-            return _l1_trim(cur, tol / 100.0)
-        prev = cur
-        M *= 2
-    raise AccuracyError(f"1/phi' expansion not l1-Cauchy below {tol:g}")
-
-
-def unimodular_defect(phi: CircleMap, samples: int = 1024) -> float:
-    """max | |phi(z)| - 1 | over a root-of-unity grid (should be ~1e-15)."""
-    z = _roots_of_unity(samples)
-    return float(np.max(np.abs(np.abs(map_values(phi, z)) - 1.0)))

@@ -4,8 +4,7 @@ The operator C_phi sends a sequence f to the coefficient sequence of
 f^ o phi.  Its matrix columns are the coefficient sequences of the
 powers phi^n.  This module builds truncated matrices, measures column
 norm ratios against several weights, runs the norm blow-up and
-distortion experiments, and checks the derivative chain rule and the
-weight-lowering extension step.
+distortion experiments, and checks the derivative chain rule.
 
 All truncations only discard coefficient mass, so reported norms are
 certified lower bounds of the untruncated quantities.
@@ -20,9 +19,8 @@ import numpy as np
 
 from . import weights as wt
 from .circlemaps import (Blaschke, CircleMap, Monomial, coeffs,
-                         compose_transform, derivative_coeffs, power_coeffs,
-                         reciprocal_coeffs, reflect_conj, _l1_trim,
-                         _unit_power)
+                         compose_transform, derivative_coeffs, inverse_map,
+                         power_coeffs, reflect_conj, _l1_trim, _unit_power)
 from .errors import (AccuracyError, AdmissibilityError, ParameterError,
                      RangeError, SizeError)
 from .seqalg import (TruncSeq, convolve, delta, formal_derivative, l1_diff,
@@ -350,8 +348,8 @@ def distortion_experiment(w: wt.Weight, r_list, N: int, lam: float = 1.0,
     """Distortion ||C_phi|| * ||C_phi^{-1}|| of the Blaschke isomorphisms.
 
     Requires the polynomial weight max(1, |n|^a) with integer a > 1.
-    The inverse of C_{b_r} is C_{b_{-r}} (the maps invert each other),
-    and distortion >= 1 always; each report also notes the non-
+    The inverse of C_phi is C_psi for psi = inverse_map(phi), here
+    b_{-r}, and distortion >= 1 always; each report also notes the non-
     standardness witness (column 1 has at least two sizable entries).
     """
     if w.family != wt.POLYNOMIAL or w.param is None or \
@@ -363,14 +361,15 @@ def distortion_experiment(w: wt.Weight, r_list, N: int, lam: float = 1.0,
         r = float(r)
         if not 0.0 <= r < 1.0:
             raise ParameterError(f"r must lie in [0, 1), got {r}")
-        nf = op_norm_l2(Blaschke(r), w, N, col_tol=col_tol)
-        ni = op_norm_l2(Blaschke(-r), w, N, col_tol=col_tol)
+        phi = Blaschke(r)
+        nf = op_norm_l2(phi, w, N, col_tol=col_tol)
+        ni = op_norm_l2(inverse_map(phi), w, N, col_tol=col_tol)
         dist = nf * ni
         if dist < 1.0 - 1e-9:
             raise AccuracyError(f"distortion {dist} fell below 1 at r = {r}")
         bf = composition_norm_bound(r, w, lam)
         bi = composition_norm_bound(-r, w, lam)
-        col1 = power_coeffs(Blaschke(r), 1, col_tol)
+        col1 = power_coeffs(phi, 1, col_tol)
         witness = int(np.sum(np.abs(col1.values) > 1e-12)) >= 2 if r > 0 else False
         return DistortionReport(
             r=r, N=int(N), norm_fwd=nf, norm_inv=ni, distortion=dist,
@@ -383,7 +382,7 @@ def distortion_experiment(w: wt.Weight, r_list, N: int, lam: float = 1.0,
 
 
 # ---------------------------------------------------------------------
-# chain rule and extension step checks
+# chain rule check
 # ---------------------------------------------------------------------
 
 
@@ -412,32 +411,3 @@ def chain_rule_check(f: TruncSeq, phi: CircleMap, tol: float = 1e-6) -> ChainRul
                    derivative_coeffs(phi, ctol))
     return ChainRuleReport(float(l1_diff(lhs, rhs)), tol, float(l1_norm(lhs)))
 
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    norm_lowered: float
-    base_norm: float
-    ratio: float
-    a: float
-    p: float
-
-
-def extension_step_check(g: TruncSeq, phi: CircleMap, a: float, p: float,
-                         tol: float = 1e-10) -> ExtensionReport:
-    """Norm of the coefficients of (g^ o phi) / phi one weight step down.
-
-    Computes the coefficient sequence of the composed series divided by
-    phi (multiplication by the conjugate-reflected coefficients on the
-    circle) and reports its weighted norm against max(1, |n|^(a-1)),
-    together with the ratio to ||g|| in the same lowered weight.
-    """
-    if not a >= 1.0:
-        raise ParameterError(f"need a >= 1, got {a}")
-    if g.is_zero:
-        raise ParameterError("need a nonzero sequence")
-    lowered = convolve(compose_transform(g, phi, cauchy_tol=tol),
-                       reciprocal_coeffs(phi, tol))
-    w_low = wt.polynomial(a - 1.0)
-    nl = weighted_norm(lowered, p, w_low)
-    nb = weighted_norm(g, p, w_low)
-    return ExtensionReport(float(nl), float(nb), float(nl / nb), float(a), float(p))

@@ -31,11 +31,3 @@ class AdmissibilityError(ConvalgError, ValueError):
 
 class CharacterError(ConvalgError, ValueError):
     """A supplied character is invalid (vanishing or non-multiplicative)."""
-
-
-class SingularityError(ConvalgError, ArithmeticError):
-    """A map derivative vanishes where its reciprocal is needed."""
-
-
-class InvertibilityError(ConvalgError, ArithmeticError):
-    """A matrix that must be invertible is singular or ill-conditioned."""

@@ -2,11 +2,11 @@
 
 Groups are Cayley tables over elements 0..n-1.  Functions on a group
 are plain complex arrays indexed by element.  The module provides the
-convolution product, weighted p-norms, standard (weighted-permutation)
-isomorphisms built from a character and a group isomorphism, a
-classifier for general matrices, the dual-permutation automorphisms of
-the cyclic group obtained by conjugating a permutation with the DFT,
-and a scan of their l1 operator norms against the 1.2 threshold.
+convolution product, standard (weighted-permutation) isomorphisms built
+from a character and a group isomorphism, an exhaustive homomorphism
+check, the dual-permutation automorphisms of the cyclic group obtained
+by conjugating a permutation with the DFT, and a scan of their l1
+operator norms against the 1.2 threshold.
 Both scans are exhaustive: all n! permutations (n <= 9) go through
 batched numpy kernels in blocks, and none is sampled or skipped.
 """
@@ -19,9 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import weights as wt
-from .errors import (CharacterError, InvertibilityError, ParameterError,
-                     SizeError)
+from .errors import CharacterError, ParameterError, SizeError
 
 
 # ---------------------------------------------------------------------
@@ -76,13 +74,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "table": self.table.tolist()}
-
-    @staticmethod
-    def from_json(d: dict) -> "FiniteGroup":
-        return FiniteGroup(np.asarray(d["table"]), name=str(d.get("name", "G")))
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -140,28 +131,6 @@ def convolve_group(f: np.ndarray, g: np.ndarray, G: FiniteGroup) -> np.ndarray:
         raise ParameterError("functions must have one value per group element")
     shifted = g[G.table[G.inverses, :]]  # row y holds g(y^-1 x)
     return f @ shifted
-
-
-def weighted_norm_group(f: np.ndarray, p: float, w) -> float:
-    """(sum |f(x)|^p w(x)^p)^(1/p) with w a Weight or an array of values."""
-    if not p >= 1.0:
-        raise ParameterError(f"the norm exponent must satisfy p >= 1, got {p}")
-    f = np.asarray(f, dtype=np.complex128)
-    wv = _weight_values(w, len(f))
-    t = np.abs(f) * wv
-    m = float(np.max(t))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum((t / m) ** p)) ** (1.0 / p)
-
-
-def _weight_values(w, order: int) -> np.ndarray:
-    if isinstance(w, wt.Weight):
-        return w.eval_array(np.arange(order))
-    arr = np.asarray(w, dtype=float)
-    if arr.shape != (order,):
-        raise ParameterError("weight values must match the group order")
-    return arr
 
 
 def cyclic_character(n: int, k: int) -> np.ndarray:
@@ -239,13 +208,6 @@ class StandardIso:
         object.__setattr__(self, "gamma", gamma)
 
 
-def apply_standard_iso(iso: StandardIso, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=np.complex128)
-    phi_inv = np.empty(iso.source.order, dtype=np.intp)
-    phi_inv[iso.phi] = np.arange(iso.source.order)
-    return iso.c * iso.gamma[phi_inv] * f[phi_inv]
-
-
 def standard_iso_matrix(iso: StandardIso) -> np.ndarray:
     n = iso.source.order
     T = np.zeros((n, n), dtype=np.complex128)
@@ -254,7 +216,7 @@ def standard_iso_matrix(iso: StandardIso) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# homomorphism defect and classification
+# homomorphism defect
 # ---------------------------------------------------------------------
 
 
@@ -295,77 +257,6 @@ def _hom_defect_cyclic(T: np.ndarray) -> float:
     return float(np.max(np.abs(np.fft.ifft(D, axis=-1))))
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
-    """Structural flags of an invertible matrix between weighted group algebras."""
-
-    bipositive: bool
-    isometric: bool
-    isometry_sampled: bool
-    norm: float
-    inverse_norm: float
-    norms_exact: bool
-    cond: float
-
-
-def classify_iso(T: np.ndarray, p: float, w1, w2, tol: float = 1e-10,
-                 n_samples: int = 64, seed: int = 0) -> ClassifyReport:
-    """Classify T: bipositivity, isometry, norms, condition number.
-
-    Norms are exact for p = 2 (weighted singular values); for other p
-    only the columnwise lower bound is reported.  Isometry is certified
-    exactly for weighted-permutation matrices and otherwise sampled on
-    random vectors (then flagged as sampled).
-    """
-    T = np.asarray(T, dtype=np.complex128)
-    n = T.shape[0]
-    if T.shape != (n, n):
-        raise ParameterError("classification needs a square matrix")
-    wv1 = _weight_values(w1, n)
-    wv2 = _weight_values(w2, n)
-    s = np.linalg.svd(T, compute_uv=False)
-    if s[-1] <= 1e-13 * s[0]:
-        raise InvertibilityError("matrix is singular to working precision")
-    cond = float(s[0] / s[-1])
-    Tinv = np.linalg.inv(T)
-    scale = float(np.max(np.abs(T)))
-
-    def _nonneg(M: np.ndarray) -> bool:
-        return bool(np.all(M.real >= -tol) and np.all(np.abs(M.imag) <= tol))
-
-    bipositive = _nonneg(T) and _nonneg(Tinv)
-
-    sig = np.abs(T) > tol * scale
-    weighted_perm = bool(np.all(sig.sum(axis=0) <= 1) and np.all(sig.sum(axis=1) <= 1))
-    col_norms = np.array([weighted_norm_group(T[:, a], p, wv2) for a in range(n)])
-    col_ratios = col_norms / wv1
-    sampled = False
-    if weighted_perm:
-        isometric = bool(np.max(np.abs(col_ratios - 1.0)) <= 1e-12)
-    else:
-        isometric = bool(np.max(np.abs(col_ratios - 1.0)) <= 1e-9)
-        if isometric:
-            rng = np.random.default_rng(seed)
-            for _ in range(n_samples):
-                v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                rv = weighted_norm_group(T @ v, p, wv2) / weighted_norm_group(v, p, wv1)
-                if abs(rv - 1.0) > 1e-9:
-                    isometric = False
-                    break
-            sampled = isometric
-    if p == 2.0:
-        sw = np.linalg.svd(T * wv2[:, None] / wv1[None, :], compute_uv=False)
-        norm, inverse_norm = float(sw[0]), float(1.0 / sw[-1])
-        exact = True
-    else:
-        inv_cols = np.array([weighted_norm_group(Tinv[:, a], p, wv1) for a in range(n)])
-        norm = float(np.max(col_ratios))
-        inverse_norm = float(np.max(inv_cols / wv2))
-        exact = False
-    return ClassifyReport(bipositive, isometric, sampled, norm, inverse_norm,
-                          exact, cond)
-
-
 # ---------------------------------------------------------------------
 # rigidity of scaled translations
 # ---------------------------------------------------------------------
@@ -400,6 +291,7 @@ def translation_rigidity_check(G: FiniteGroup) -> RigidityReport:
 
 
 _BLOCK_ENTRIES = 16384  # bound on B * n**3, the size of the hom defect of B perms
+HOM_DEFECT_TOL = 1e-10  # largest homomorphism defect the census accepts
 
 
 def check_scan_order(n: int) -> None:
@@ -422,11 +314,6 @@ def affine_mask(sigmas: np.ndarray, n: int) -> np.ndarray:
     a = (sigmas[:, 1] - k) % n
     line = (a[:, None] * np.arange(n) + k[:, None]) % n
     return (np.gcd(a, n) == 1) & np.all(sigmas == line, axis=1)
-
-
-def is_affine_perm(sigma: np.ndarray, n: int) -> bool:
-    """Whether sigma(j) = (a j + k) mod n with gcd(a, n) = 1."""
-    return bool(affine_mask([sigma], n)[0])
 
 
 def _dual_permutation_blocks(n: int):
@@ -471,7 +358,7 @@ class AutomorphismScan:
         return d
 
 
-def enumerate_l2_automorphisms(n: int, defect_tol: float = 1e-10) -> AutomorphismScan:
+def enumerate_l2_automorphisms(n: int) -> AutomorphismScan:
     """All automorphisms F^{-1} P_sigma F of the convolution algebra of Z_n.
 
     Every dual permutation gives an l2-isometric algebra automorphism;
@@ -492,8 +379,8 @@ def enumerate_l2_automorphisms(n: int, defect_tol: float = 1e-10) -> Automorphis
         if example is None and not affine.all():
             i = int(np.argmin(affine))
             example, example_sigma = T[i].copy(), tuple(int(v) for v in sigmas[i])
-    if max_def > defect_tol:
-        raise ParameterError(f"homomorphism defect {max_def:g} above {defect_tol:g}")
+    if max_def > HOM_DEFECT_TOL:
+        raise ParameterError(f"homomorphism defect {max_def:g} above {HOM_DEFECT_TOL:g}")
     return AutomorphismScan(n, total, standard, total - standard, max_def,
                             max_iso, example_sigma, example)
 
@@ -510,7 +397,7 @@ class SmallNormReport:
         return asdict(self)
 
 
-def small_norm_scan(n: int, p: float = 1.0, threshold: float = 1.2) -> SmallNormReport:
+def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:
     """l1 operator norms of the dual-permutation automorphisms of Z_n.
 
     The l1 -> l1 norm is exactly the maximal column l1 norm.  Standard
@@ -520,8 +407,6 @@ def small_norm_scan(n: int, p: float = 1.0, threshold: float = 1.2) -> SmallNorm
     All n! permutations are scanned.
     """
     check_scan_order(n)
-    if p != 1.0:
-        raise ParameterError("only p = 1 is supported (exact column norms)")
     min_nonstd, max_std = math.inf, 0.0
     for _, T, affine in _dual_permutation_blocks(n):
         norms = np.abs(T).sum(axis=1).max(axis=1)

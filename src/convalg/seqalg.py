@@ -88,18 +88,6 @@ class TruncSeq:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> dict:
-        return {
-            "lo": self.lo,
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "TruncSeq":
-        vals = np.array([complex(re, im) for re, im in d["values"]],
-                        dtype=np.complex128)
-        return TruncSeq(int(d["lo"]), vals)
-
 
 def zero_seq() -> TruncSeq:
     return TruncSeq(0, np.zeros(0, dtype=np.complex128))

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn, gammaincc as _gammaincc
 
-from .errors import CharacterError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
+from .groupalg import builtin_group
 
 OVERFLOW_LIMIT = 1e300
 
@@ -91,26 +92,6 @@ class Weight:
         with np.errstate(over="ignore"):
             return self.param ** n * (1.0 + n * n)
 
-    # -- serialization -------------------------------------------------
-
-    def to_descriptor(self) -> dict:
-        d: dict[str, Any] = {"family": self.family}
-        if self.family == POLYNOMIAL:
-            d["a"] = self.param
-        elif self.family == SUBEXP:
-            d["gamma"] = self.param
-        elif self.family == EXPPOLY:
-            d["a"] = self.param
-        elif self.family == TABULATED:
-            d["values"] = list(self.table)
-            if self.group is None:
-                d["lo"] = self.lo
-        if self.group is not None:
-            d["domain"] = {"group": self.group.name}
-        else:
-            d["domain"] = "integers"
-        return d
-
 
 def constant(group: Any = None) -> Weight:
     return Weight(CONSTANT, group=group)
@@ -153,15 +134,41 @@ def tabulated(values, group: Any = None, lo: int = 0) -> Weight:
     return Weight(TABULATED, table=vals, lo=int(lo))
 
 
-def from_descriptor(d: dict, group_resolver: Callable[[str], Any] | None = None) -> Weight:
-    """Build a weight from a JSON descriptor {family, params, domain}."""
+# the keys each family reads besides "family" and "domain"; "lo" is optional
+_DESCRIPTOR_KEYS = {CONSTANT: (), POLYNOMIAL: ("a",), SUBEXP: ("gamma",),
+                    EXPPOLY: ("a",), TABULATED: ("values", "lo")}
+
+
+def from_descriptor(d: dict) -> Weight:
+    """Build a weight from a JSON descriptor {family, params, domain}.
+
+    ``domain`` is ``"integers"`` (the default) or ``{"group": name}`` with
+    a built-in group name; only constant and tabulated weights live on a
+    group.  Descriptors come from outside the program, so a key the
+    family does not read raises :class:`ParameterError` rather than being
+    dropped.
+    """
+    if not isinstance(d, dict):
+        raise ParameterError(f"a weight descriptor is a JSON object, got {d!r}")
     family = d.get("family")
+    if not isinstance(family, str) or family not in _DESCRIPTOR_KEYS:
+        raise ParameterError(f"unknown weight family {family!r}")
     domain = d.get("domain", "integers")
+    keys = {"family", "domain", *_DESCRIPTOR_KEYS[family]}
     group = None
-    if isinstance(domain, dict) and "group" in domain:
-        if group_resolver is None:
-            from .groupalg import builtin_group as group_resolver  # lazy import
-        group = group_resolver(domain["group"])
+    if isinstance(domain, dict) and set(domain) == {"group"}:
+        if family not in (CONSTANT, TABULATED):
+            raise ParameterError(f"{family} weights live on the integers, not on a group")
+        group = builtin_group(domain["group"])
+        keys.discard("lo")
+    elif domain != "integers":
+        raise ParameterError(f'domain must be "integers" or {{"group": name}}, got {domain!r}')
+    unread = sorted(set(d) - keys)
+    if unread:
+        raise ParameterError(f"{family} descriptor has keys it does not read: {unread}")
+    missing = [k for k in _DESCRIPTOR_KEYS[family] if k != "lo" and k not in d]
+    if missing:
+        raise ParameterError(f"{family} descriptor lacks {missing}")
     if family == CONSTANT:
         return constant(group=group)
     if family == POLYNOMIAL:
@@ -170,9 +177,7 @@ def from_descriptor(d: dict, group_resolver: Callable[[str], Any] | None = None)
         return subexp(d["gamma"])
     if family == EXPPOLY:
         return exppoly(d["a"])
-    if family == TABULATED:
-        return tabulated(d["values"], group=group, lo=int(d.get("lo", 0)))
-    raise ParameterError(f"unknown weight family {family!r}")
+    return tabulated(d["values"], group=group, lo=int(d.get("lo", 0)))
 
 
 # ---------------------------------------------------------------------
@@ -322,36 +327,3 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
         tail = 4.0 * (partial + t)
     return AlgebraConstantReport(float(ratios[k]), int(xs[k]), q, int(window), tail)
 
-
-# ---------------------------------------------------------------------
-# ratio bounds for a candidate standard isomorphism
-# ---------------------------------------------------------------------
-
-
-def standard_iso_ratio_bounds(gamma, phi, w1: Weight, w2: Weight,
-                              window: int | None = None) -> tuple[float, float]:
-    """inf and sup of |gamma(x)| * w2(phi(x)) / w1(x) over the window.
-
-    ``gamma`` and ``phi`` may be callables on integers or arrays indexed
-    by group element.  Finite bounds on both sides are the boundedness
-    condition for the associated weighted composition operator and its
-    inverse.
-    """
-    if w1.on_group != w2.on_group:
-        raise ParameterError("both weights must live on the same kind of domain")
-    if w1.on_group:
-        xs = np.arange(w1.group.order)
-    else:
-        if window is None or window < 0:
-            raise ParameterError("an integer window is required on Z")
-        xs = np.arange(-window, window + 1)
-    gvals = np.asarray([gamma(int(x)) for x in xs]) if callable(gamma) \
-        else np.asarray(gamma)
-    pvals = np.asarray([phi(int(x)) for x in xs]) if callable(phi) \
-        else np.asarray(phi)
-    mags = np.abs(gvals)
-    if np.any(mags == 0.0):
-        bad = int(xs[np.argmax(mags == 0.0)])
-        raise CharacterError(f"character vanishes at {bad}")
-    ratios = mags * w2.eval_array(pvals) / w1.eval_array(xs)
-    return float(np.min(ratios)), float(np.max(ratios))

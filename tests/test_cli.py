@@ -138,6 +138,17 @@ def test_weights_check_descriptor_from_file(tmp_path, capsys):
     assert "algebra_constant" not in doc  # p = 1 has no Hoelder constant
 
 
+def test_weights_check_group_descriptor(capsys):
+    code = main(["weights-check", "--weight",
+                 '{"family": "tabulated", "values": [1.0, 2.0, 2.0], "domain": {"group": "Z3"}}'])
+    assert code == 0
+    assert "submultiplicative: True" in capsys.readouterr().out
+    code = main(["weights-check", "--weight",
+                 '{"family": "tabulated", "values": [1.0, 2.0, 2.0], "lo": 0, "group": "Z3"}'])
+    assert code == 1
+    assert "ParameterError" in capsys.readouterr().err
+
+
 def test_chain_rule_pass_and_fail(capsys):
     assert main(["chain-rule", "--count", "3", "--support", "10",
                  "--seed", "1"]) == 0

@@ -294,6 +294,21 @@ def test_distortion_experiment_small():
     assert "within_bound_product" in d and "lambda_param" in d
 
 
+def test_distortion_inverts_through_inverse_map(monkeypatch):
+    # the inverse operator's norm is taken at inverse_map(phi), not at a
+    # map the experiment builds itself
+    seen = []
+
+    def recorded(phi):
+        seen.append(phi)
+        return cm.inverse_map(phi)
+
+    monkeypatch.setattr(co, "inverse_map", recorded)
+    rep = co.distortion_experiment(wt.polynomial(2.0), [0.1], N=16)[0]
+    assert seen == [cm.Blaschke(0.1)]
+    assert rep.norm_inv == co.op_norm_l2(cm.Blaschke(-0.1), wt.polynomial(2.0), 16)
+
+
 def test_distortion_requires_polynomial_weight():
     with pytest.raises(ParameterError):
         co.distortion_experiment(wt.subexp(0.5), [0.05], N=32)
@@ -319,60 +334,9 @@ def test_chain_rule_constant_sequence_is_exact():
     assert rep.residual_l1 < 1e-12
 
 
-# --------------------------------------------------------- extension step
-
-
-def test_extension_step_frozen():
-    rng = np.random.default_rng(1)
-    f = sa.TruncSeq(-8, rng.standard_normal(17) + 1j * rng.standard_normal(17))
-    g = sa.formal_derivative(f)
-    rep = co.extension_step_check(g, cm.Blaschke(0.3), a=2.0, p=2.0)
-    assert rep.a == 2.0 and rep.p == 2.0
-    assert rep.ratio == pytest.approx(rep.norm_lowered / rep.base_norm,
-                                      rel=1e-12)
-    assert rep.ratio == pytest.approx(1.0388603376, rel=1e-6)
-
-
-def test_extension_step_bounded_on_random_inputs():
-    # composing with the map and dividing by phi' keeps the one-step-lower
-    # weighted norm comparable to the input's
-    rng = np.random.default_rng(2)
-    phi = cm.Blaschke(0.25)
-    for _ in range(5):
-        g = random_seq(rng, -10, 10)
-        rep = co.extension_step_check(g, phi, a=2.0, p=2.0)
-        assert np.isfinite(rep.norm_lowered)
-        assert rep.ratio < 10.0
-
-
-def test_extension_step_identity_map_is_an_index_shift():
-    # with the identity map the lowered sequence is g shifted down by one
-    g = sa.TruncSeq(1, np.array([2.0, 0.0, 5.0]))
-    rep = co.extension_step_check(g, cm.Monomial(1.0, 1), a=2.0, p=1.0)
-    w_low = wt.polynomial(1.0)
-    shifted = sa.translate(g, -1)
-    assert rep.norm_lowered == pytest.approx(
-        sa.weighted_norm(shifted, 1.0, w_low), rel=1e-10)
-
-
-def test_extension_step_delta_one_collapses_to_unit():
-    # (z o phi) / phi = 1, so the lowered sequence is delta(0) and the
-    # weighted norms agree: ratio exactly 1
-    rep = co.extension_step_check(sa.delta(1), cm.Blaschke(0.3), a=2.0, p=2.0)
-    assert rep.ratio == pytest.approx(1.0, abs=1e-9)
-
-
 def test_op_norm_truncation_stability():
     w = wt.polynomial(2.0)
     phi = cm.Blaschke(0.2)
     n32 = co.op_norm_l2(phi, w, 32)
     n64 = co.op_norm_l2(phi, w, 64)
     assert abs(n32 - n64) / n64 < 0.01
-
-
-def test_extension_step_requires_a_at_least_one():
-    # the lowered exponent a - 1 must still be a valid weight exponent
-    with pytest.raises(ParameterError):
-        co.extension_step_check(sa.delta(1), cm.Blaschke(0.3), a=0.5, p=2.0)
-    rep = co.extension_step_check(sa.delta(1), cm.Blaschke(0.3), a=1.0, p=2.0)
-    assert np.isfinite(rep.ratio)

@@ -72,13 +72,6 @@ def test_values_are_read_only():
         f.values[0] = 5.0
 
 
-def test_json_round_trip_preserves_complex_values():
-    f = sa.TruncSeq(-2, np.array([1.5 - 2j, 0.0, 3.0 + 1j]))
-    back = sa.TruncSeq.from_json(f.to_json())
-    assert back.same(f)
-    assert back.lo == -2
-
-
 # --------------------------------------------------------------- convolution
 
 

@@ -1,12 +1,15 @@
 """Weight families: evaluation, submultiplicativity, algebra constants."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convalg import weights as wt
-from convalg.errors import CharacterError, ParameterError, RangeError
+from convalg.errors import ParameterError
 from convalg import groupalg as ga
 
 EXACT = 1e-12
@@ -202,67 +205,56 @@ def test_algebra_constant_on_group_has_no_tail():
 # ------------------------------------------------------------- descriptors
 
 
-@pytest.mark.parametrize("w", [
-    wt.constant(),
-    wt.polynomial(2.0),
-    wt.subexp(0.5),
-    wt.exppoly(3.0),
-])
-def test_descriptor_round_trip(w):
-    back = wt.from_descriptor(w.to_descriptor())
-    xs = np.arange(-20, 21)
+# each line of README's "Weight descriptors" block, with the weight it builds
+README_DESCRIPTORS = [
+    ('{"family": "constant"}', wt.constant()),
+    ('{"family": "polynomial", "a": 2.0}', wt.polynomial(2.0)),
+    ('{"family": "subexp", "gamma": 0.5}', wt.subexp(0.5)),
+    ('{"family": "exppoly", "a": 2.0}', wt.exppoly(2.0)),
+    ('{"family": "tabulated", "values": [1.0, 2.0, 2.0], "domain": {"group": "Z3"}}',
+     wt.tabulated([1.0, 2.0, 2.0], group=ga.cyclic(3))),
+]
+
+
+def test_readme_lists_these_descriptors():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Weight descriptors", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == [line for line, _ in README_DESCRIPTORS]
+
+
+@pytest.mark.parametrize("line, w", README_DESCRIPTORS,
+                         ids=["constant", "polynomial", "subexp", "exppoly", "tabulated-Z3"])
+def test_readme_descriptor_builds_its_weight(line, w):
+    back = wt.from_descriptor(json.loads(line))
+    assert back.family == w.family
+    if w.on_group:
+        assert back.group.name == w.group.name
+        xs = np.arange(w.group.order)
+    else:
+        assert not back.on_group
+        xs = np.arange(-20, 21)
     np.testing.assert_allclose(back.eval_array(xs), w.eval_array(xs), rtol=EXACT)
 
 
-def test_descriptor_round_trip_tabulated_group():
-    G = ga.cyclic(3)
-    w = wt.tabulated(np.array([1.0, 2.0, 2.0]), group=G)
-    d = w.to_descriptor()
-    back = wt.from_descriptor(d, group_resolver=lambda name: G)
-    np.testing.assert_allclose(back.eval_array(np.arange(3)),
-                               w.eval_array(np.arange(3)))
+@pytest.mark.parametrize("d", [
+    # the README's old group form: the top-level "group" was ignored, so it
+    # built a weight on Z
+    {"family": "tabulated", "values": [1.0, 2.0, 2.0], "lo": 0, "group": "Z3"},
+    {"family": "polynomial", "a": 2.0, "gamma": 0.5},
+    {"family": "constant", "a": 2.0},
+    {"family": "tabulated", "values": [1.0, 2.0, 2.0], "lo": 0, "domain": {"group": "Z3"}},
+    {"family": "polynomial", "a": 2.0, "domain": {"group": "Z3"}},
+    {"family": "constant", "domain": {"group": "Z3", "order": 3}},
+    {"family": "constant", "domain": "reals"},
+    {"family": "subexp"},
+    ["constant"],
+])
+def test_descriptor_rejects_unread_and_missing_keys(d):
+    with pytest.raises(ParameterError):
+        wt.from_descriptor(d)
 
 
 def test_descriptor_rejects_unknown_family():
     with pytest.raises(ParameterError):
         wt.from_descriptor({"family": "gaussian", "a": 2.0})
-
-
-# ------------------------------------------------------ ratio bounds check
-
-
-def test_standard_iso_ratio_bounds_identity():
-    w = wt.polynomial(2.0)
-    n = np.arange(-30, 31)
-    gamma = np.exp(1j * 0.4 * n)  # unimodular character samples
-    lo, hi = wt.standard_iso_ratio_bounds(gamma, n, w, w, window=30)
-    assert lo == pytest.approx(1.0, rel=EXACT)
-    assert hi == pytest.approx(1.0, rel=EXACT)
-
-
-def test_standard_iso_ratio_bounds_exponential_character():
-    # |gamma(n)| = 2^n with the identity map spans (2^-10, 2^10) on +-10
-    w = wt.polynomial(1.0)
-    lo, hi = wt.standard_iso_ratio_bounds(lambda n: 2.0 ** n, lambda n: n,
-                                          w, w, window=10)
-    assert lo == pytest.approx(2.0 ** -10, rel=EXACT)
-    assert hi == pytest.approx(2.0 ** 10, rel=EXACT)
-
-
-def test_standard_iso_ratio_bounds_on_group():
-    G = ga.cyclic(5)
-    w = wt.tabulated(np.array([1.0, 2.0, 3.0, 3.0, 2.0]), group=G)
-    iso_gamma = ga.cyclic_character(5, 2)
-    phi = ga.cyclic_automorphism(5, 2)  # weight profile not preserved
-    lo, hi = wt.standard_iso_ratio_bounds(iso_gamma, phi, w, w)
-    assert lo == pytest.approx(2.0 / 3.0, rel=EXACT)   # x=2: w(4)/w(2)
-    assert hi == pytest.approx(1.5, rel=EXACT)         # x=1: w(2)/w(1)
-
-
-def test_standard_iso_ratio_bounds_rejects_vanishing_gamma():
-    w = wt.polynomial(2.0)
-    n = np.arange(-5, 6)
-    gamma = np.ones(11, dtype=complex)
-    gamma[3] = 0.0
-    with pytest.raises(CharacterError):
-        wt.standard_iso_ratio_bounds(gamma, n, w, w, window=5)
