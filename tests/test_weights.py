@@ -223,9 +223,7 @@ def test_readme_lists_these_descriptors():
     assert block.splitlines() == [line for line, _ in README_DESCRIPTORS]
 
 
-@pytest.mark.parametrize("line, w", README_DESCRIPTORS,
-                         ids=["constant", "polynomial", "subexp", "exppoly", "tabulated-Z3"])
-def test_readme_descriptor_builds_its_weight(line, w):
+def _assert_descriptor_builds(line, w):
     back = wt.from_descriptor(json.loads(line))
     assert back.family == w.family
     if w.on_group:
@@ -235,6 +233,18 @@ def test_readme_descriptor_builds_its_weight(line, w):
         assert not back.on_group
         xs = np.arange(-20, 21)
     np.testing.assert_allclose(back.eval_array(xs), w.eval_array(xs), rtol=EXACT)
+
+
+# the README's descriptor line for each family on Z builds that weight
+@pytest.mark.parametrize("line, w", README_DESCRIPTORS[:4],
+                         ids=["w0", "w1", "w2", "w3"])
+def test_descriptor_round_trip(line, w):
+    _assert_descriptor_builds(line, w)
+
+
+# the README's Z3 descriptor builds a weight on Z3, not on Z
+def test_descriptor_round_trip_tabulated_group():
+    _assert_descriptor_builds(*README_DESCRIPTORS[4])
 
 
 @pytest.mark.parametrize("d", [
