@@ -214,8 +214,7 @@ def _compose_once(f: TruncSeq, phi: CircleMap, M: int) -> TruncSeq:
     return TruncSeq(-(M // 2), coef)
 
 
-def compose_transform(f: TruncSeq, phi: CircleMap, M: int | None = None,
-                      cauchy_tol: float = 1e-9) -> TruncSeq:
+def compose_transform(f: TruncSeq, phi: CircleMap, cauchy_tol: float = 1e-9) -> TruncSeq:
     """Coefficients of z -> f^(phi(z)), f^ the Laurent series of f.
 
     Samples on M-th roots of unity and doubles M until two successive
@@ -224,13 +223,7 @@ def compose_transform(f: TruncSeq, phi: CircleMap, M: int | None = None,
     """
     if f.is_zero:
         return f
-    span = f.support_len
-    if M is None:
-        M = max(128, 1 << (4 * span - 1).bit_length())
-    else:
-        if M & (M - 1) or M < 4 * span:
-            raise ParameterError(
-                f"M must be a power of two >= 4*support ({4 * span}), got {M}")
+    M = max(128, 1 << (4 * f.support_len - 1).bit_length())
     prev = _compose_once(f, phi, M)
     diff = math.inf
     while 2 * M <= (1 << MAX_LOG2_GRID):

@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 
 from . import __version__
 from . import checks
 from . import compops as co
 from . import groupalg as ga
 from . import weights as wt
-from .errors import ConvalgError
+from .errors import ConvalgError, ParameterError
 
 
 # ---------------------------------------------------------------------
@@ -42,29 +43,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows: list[dict], config: dict) -> None:
-    lines = ["# config: " + json.dumps({"version": __version__, **config},
-                                       sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_json(path: str, config: dict, payload: dict) -> None:
     doc = {"version": __version__, "config": config, **payload}
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_report(args, header: list[str], rows: list[dict], config: dict) -> None:
+def _write_report(args, row_type, rows: list, config: dict) -> None:
+    """Write dataclass rows of ``row_type``, one CSV column or JSON key per field."""
     if args.out is None:
         return
     if args.format == "csv":
-        write_csv(args.out, header, rows, config)
+        lines = ["# config: " + json.dumps({"version": __version__, **config}, sort_keys=True),
+                 ",".join(f.name for f in fields(row_type))]
+        lines += [",".join(map(_fmt, astuple(row))) for row in rows]
+        with open(args.out, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
     else:
-        write_json(args.out, config, {"rows": rows})
+        write_json(args.out, config, {"rows": [asdict(row) for row in rows]})
     print(f"wrote {args.format} report to {args.out}")
 
 
@@ -80,64 +76,53 @@ def _cmd_verify(args) -> int:
     n_pass = sum(res.passed for res in results)
     print(f"{n_pass}/{len(results)} checks passed")
     if args.out:
-        config = {"suite": args.suite}
-        write_json(args.out, config, {"checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results]})
+        write_json(args.out, {"suite": args.suite}, {"checks": [asdict(r) for r in results]})
     return 0 if n_pass == len(results) else 1
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-_BLOWUP_HEADER = ["n", "ratio", "model_value", "k_n", "lower_bound_ratio",
-                  "cr_empirical"]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from None
 
 
 def _cmd_blowup(args) -> int:
-    ns = _parse_int_list(args.n)
-    config = {"case": args.case, "r": args.r, "p": args.p, "n": ns,
+    config = {"case": args.case, "r": args.r, "p": args.p, "n": args.n,
               "gamma": args.gamma, "a": args.a, "tol": args.tol}
-    rows = co.blowup_experiment(args.case, r=args.r, ns=ns, p=args.p,
+    rows = co.blowup_experiment(args.case, r=args.r, ns=args.n, p=args.p,
                                 gamma=args.gamma, a=args.a, tol=args.tol)
-    dicts = [row.to_dict() for row in rows]
     print(f"{'n':>6} {'ratio':>14} {'model':>14} {'k_n':>6} {'lower_bound':>14}")
     for row in rows:
         print(f"{row.n:>6} {row.ratio:>14.6g} {row.model_value:>14.6g} "
               f"{row.k_n:>6} {row.lower_bound_ratio:>14.6g}")
-    _write_report(args, _BLOWUP_HEADER, dicts, config)
+    _write_report(args, co.BlowupRow, rows, config)
     return 0
 
 
-_DISTORTION_HEADER = ["r", "N", "norm_fwd", "norm_inv", "distortion",
-                      "norm_bound_fwd", "norm_bound_inv", "lambda_param",
-                      "nonstandard_witness", "within_bound_product"]
-
-
 def _cmd_distortion(args) -> int:
-    rs = _parse_float_list(args.r)
-    config = {"a": args.a, "r": rs, "N": args.N, "lambda": args.lam,
+    config = {"a": args.a, "r": args.r, "N": args.N, "lambda": args.lam,
               "tol": args.tol}
-    reports = co.distortion_experiment(wt.polynomial(args.a), rs, args.N,
+    reports = co.distortion_experiment(wt.polynomial(args.a), args.r, args.N,
                                        lam=args.lam, col_tol=args.tol)
-    dicts = [rep.to_dict() for rep in reports]
     print(f"{'r':>8} {'norm_fwd':>12} {'norm_inv':>12} {'distortion':>12} {'bound_prod':>12}")
     for rep in reports:
         print(f"{rep.r:>8.4g} {rep.norm_fwd:>12.6g} {rep.norm_inv:>12.6g} "
               f"{rep.distortion:>12.6g} {rep.norm_bound_fwd * rep.norm_bound_inv:>12.6g}")
-    _write_report(args, _DISTORTION_HEADER, dicts, config)
+    _write_report(args, co.DistortionReport, reports, config)
     return 0
 
 
 def _cmd_group_scan(args) -> int:
-    config = {"n": args.n, "norm_n": _parse_int_list(args.norm_n),
-              "threshold": args.threshold}
-    for m in (args.n, *config["norm_n"]):
+    config = {"n": args.n, "norm_n": args.norm_n, "threshold": args.threshold}
+    for m in (args.n, *args.norm_n):
         ga.check_scan_order(m)
     scan = ga.enumerate_l2_automorphisms(args.n)
     print(f"Z_{args.n}: {scan.total} dual-permutation automorphisms, "
@@ -146,9 +131,9 @@ def _cmd_group_scan(args) -> int:
           f"isometry defect {scan.max_isometry_defect:.2e}")
     norm_reports = []
     ok = True
-    for m in config["norm_n"]:
+    for m in args.norm_n:
         rep = ga.small_norm_scan(m, threshold=args.threshold)
-        norm_reports.append(rep.to_dict())
+        norm_reports.append(asdict(rep))
         ok = ok and rep.all_below_threshold_standard
         label = "none" if rep.min_nonstandard_norm is None \
             else f"{rep.min_nonstandard_norm:.5f}"
@@ -163,10 +148,13 @@ def _cmd_group_scan(args) -> int:
 
 def _cmd_weights_check(args) -> int:
     text = args.weight
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
-    descriptor = json.loads(text)
+    try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                text = fh.read()
+        descriptor = json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read the weight descriptor: {exc}") from None
     w = wt.from_descriptor(descriptor)
     config = {"weight": descriptor, "p": args.p, "window": args.window}
     sub = wt.check_submultiplicative(w, window=None if w.on_group else args.window)
@@ -181,9 +169,7 @@ def _cmd_weights_check(args) -> int:
         print(f"algebra constant C = {alg.constant:.8g} at n = {alg.argmax_n} "
               f"(q = {alg.q:g}, window {args.window}, tail bound {alg.tail_bound:.3g})")
         print(f"convolution norm bound C^(1/q) = {alg.constant ** (1.0 / alg.q):.8g}")
-        payload["algebra_constant"] = {
-            "constant": alg.constant, "argmax_n": alg.argmax_n, "q": alg.q,
-            "tail_bound": alg.tail_bound}
+        payload["algebra_constant"] = asdict(alg)
     if args.out:
         write_json(args.out, config, payload)
         print(f"wrote json report to {args.out}")
@@ -229,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="weight exponent for case 1 (0 < gamma < 1)")
     p.add_argument("--a", type=float, default=None,
                    help="weight base for case 2 (a > 1)")
-    p.add_argument("--n", default="9,16,25,36,49", help="comma-separated grid")
+    p.add_argument("--n", type=_parse_int_list, default="9,16,25,36,49",
+                   help="comma-separated grid")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -237,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distortion", help="distortion of Blaschke isomorphisms")
     p.add_argument("--a", type=float, default=2.0, help="polynomial weight exponent")
-    p.add_argument("--r", default="0.02,0.05,0.1,0.2")
+    p.add_argument("--r", type=_parse_float_list, default="0.02,0.05,0.1,0.2")
     p.add_argument("--N", type=int, default=256, help="truncation half-width")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -247,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group-scan", help="automorphism census of Z_n")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--norm-n", default="3,4,5,6",
+    p.add_argument("--norm-n", type=_parse_int_list, default="3,4,5,6",
                    help="orders for the l1 norm scan")
     p.add_argument("--threshold", type=float, default=1.2)
     p.add_argument("--out", default=None)

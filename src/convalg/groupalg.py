@@ -104,7 +104,7 @@ def builtin_group(name: str) -> FiniteGroup:
     """Resolve 'Z<n>' (n <= 12) or 'S3' to a group instance."""
     if name == "S3":
         return symmetric3()
-    if name.startswith("Z"):
+    if isinstance(name, str) and name[:1] == "Z" and name[1:].isdecimal():
         n = int(name[1:])
         if not 1 <= n <= 12:
             raise ParameterError(f"built-in cyclic groups cover Z1..Z12, got {name}")
@@ -167,18 +167,18 @@ def cyclic_automorphism(n: int, a: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StandardIso:
-    """A standard isomorphism: (Tf)(h) = c * gamma(phi^{-1} h) f(phi^{-1} h).
+    """A standard isomorphism: (Tf)(h) = gamma(phi^{-1} h) f(phi^{-1} h).
 
     ``phi`` is a group isomorphism source -> target (index map) and
     ``gamma`` a nonvanishing multiplicative character on the source.
-    With counting measure on both sides the constant c is 1.
+    The general form carries a constant factor c from the Haar measures;
+    with counting measure on both finite groups c = 1, so it is omitted.
     """
 
     source: FiniteGroup
     target: FiniteGroup
     phi: np.ndarray
     gamma: np.ndarray
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         n = self.source.order
@@ -200,8 +200,6 @@ class StandardIso:
         outer = gamma[:, None] * gamma[None, :]
         if np.max(np.abs(prod - outer)) > 1e-12 * max(1.0, float(np.max(np.abs(outer)))):
             raise CharacterError("gamma is not multiplicative")
-        if not self.c > 0:
-            raise ParameterError("c must be positive")
         phi.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "phi", phi)
@@ -211,7 +209,7 @@ class StandardIso:
 def standard_iso_matrix(iso: StandardIso) -> np.ndarray:
     n = iso.source.order
     T = np.zeros((n, n), dtype=np.complex128)
-    T[iso.phi, np.arange(n)] = iso.c * iso.gamma
+    T[iso.phi, np.arange(n)] = iso.gamma
     return T
 
 
@@ -224,7 +222,6 @@ def standard_iso_matrix(iso: StandardIso) -> np.ndarray:
 class HomReport:
     is_homomorphism: bool
     max_defect: float
-    tol: float
 
 
 def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup,
@@ -240,7 +237,7 @@ def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup,
             lhs = T[:, G.table[a, b]]
             rhs = convolve_group(Ta, T[:, b], H)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return HomReport(worst <= tol, worst, tol)
+    return HomReport(worst <= tol, worst)
 
 
 def _hom_defect_cyclic(T: np.ndarray) -> float:
@@ -262,18 +259,13 @@ def _hom_defect_cyclic(T: np.ndarray) -> float:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    holds: bool
-    admissible_x: tuple[int, ...]
-
-
-def translation_rigidity_check(G: FiniteGroup) -> RigidityReport:
+def translation_rigidity_check(G: FiniteGroup) -> bool:
     """Scaled translations f -> c * f(x^{-1} .) are never nontrivial automorphisms.
 
     Exact algebraic test: such an operator is multiplicative iff
     x(ab) = (xa)(xb) for all a, b (which forces x = e) and c^2 = c with
     c != 0 (which forces c = 1), whatever the weight and exponent.
+    Returns whether x = e is the only element passing the first test.
     """
     t = G.table
     good = []
@@ -282,7 +274,7 @@ def translation_rigidity_check(G: FiniteGroup) -> RigidityReport:
         rhs = t[np.ix_(t[x], t[x])]        # (x a) * (x b)
         if np.array_equal(lhs, rhs):
             good.append(x)
-    return RigidityReport(good == [G.identity], tuple(good))
+    return good == [G.identity]
 
 
 # ---------------------------------------------------------------------
@@ -392,9 +384,6 @@ class SmallNormReport:
     min_nonstandard_norm: float | None
     max_standard_norm: float
     all_below_threshold_standard: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:

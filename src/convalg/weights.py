@@ -29,6 +29,7 @@ from .errors import DomainError, ParameterError
 from .groupalg import builtin_group
 
 OVERFLOW_LIMIT = 1e300
+SUBMULT_REL_TOL = 1e-12  # relative excess the submultiplicativity verdict allows
 
 CONSTANT = "constant"
 POLYNOMIAL = "polynomial"
@@ -145,8 +146,8 @@ def from_descriptor(d: dict) -> Weight:
     ``domain`` is ``"integers"`` (the default) or ``{"group": name}`` with
     a built-in group name; only constant and tabulated weights live on a
     group.  Descriptors come from outside the program, so a key the
-    family does not read raises :class:`ParameterError` rather than being
-    dropped.
+    family does not read, or a value of the wrong JSON type, raises
+    :class:`ParameterError` rather than being dropped or coerced.
     """
     if not isinstance(d, dict):
         raise ParameterError(f"a weight descriptor is a JSON object, got {d!r}")
@@ -172,12 +173,22 @@ def from_descriptor(d: dict) -> Weight:
     if family == CONSTANT:
         return constant(group=group)
     if family == POLYNOMIAL:
-        return polynomial(d["a"])
+        return polynomial(_checked(d["a"], (int, float), "a must be a number"))
     if family == SUBEXP:
-        return subexp(d["gamma"])
+        return subexp(_checked(d["gamma"], (int, float), "gamma must be a number"))
     if family == EXPPOLY:
-        return exppoly(d["a"])
-    return tabulated(d["values"], group=group, lo=int(d.get("lo", 0)))
+        return exppoly(_checked(d["a"], (int, float), "a must be a number"))
+    values = [_checked(v, (int, float), "values must be numbers")
+              for v in _checked(d["values"], list, "values must be a list")]
+    return tabulated(values, group=group,
+                     lo=_checked(d.get("lo", 0), int, "lo must be an integer"))
+
+
+def _checked(x, kinds, what: str):
+    """``x`` when it is an instance of ``kinds`` other than a bool, else ParameterError."""
+    if isinstance(x, bool) or not isinstance(x, kinds):
+        raise ParameterError(f"{what}, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------
@@ -191,20 +202,17 @@ class SubmultReport:
 
     ``max_excess`` is max of w(xy) - w(x)w(y); ``max_ratio`` is max of
     w(xy) / (w(x)w(y)), the weak-submultiplicativity constant on the
-    window.  The verdict uses a relative tolerance so that families with
-    exact integer arithmetic are judged exactly.
+    window.  The verdict uses the relative tolerance ``SUBMULT_REL_TOL``
+    so that families with exact integer arithmetic are judged exactly.
     """
 
     max_excess: float
     max_ratio: float
     argmax: tuple[int, int]  # pair attaining max_ratio
     submultiplicative: bool
-    window: int | None
-    rel_tol: float
 
 
-def check_submultiplicative(w: Weight, window: int | None = None,
-                            rel_tol: float = 1e-12) -> SubmultReport:
+def check_submultiplicative(w: Weight, window: int | None = None) -> SubmultReport:
     """Scan all pairs in the window (all group pairs on a finite group)."""
     if w.group is not None:
         G = w.group
@@ -213,7 +221,6 @@ def check_submultiplicative(w: Weight, window: int | None = None,
         prod_idx = G.table  # (x, y) -> xy
         lhs = vals[prod_idx]
         rhs = np.outer(vals, vals)
-        win = None
     else:
         if window is None or window < 1:
             raise ParameterError("an integer window >= 1 is required on Z")
@@ -222,19 +229,16 @@ def check_submultiplicative(w: Weight, window: int | None = None,
         sums = xs[:, None] + xs[None, :]
         lhs = w.eval_array(sums)
         rhs = np.outer(vals, vals)
-        win = int(window)
     excess = lhs - rhs
     ratio = lhs / rhs
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
     rel = (lhs - rhs) / np.maximum(1.0, rhs)
-    ok = bool(np.max(rel) <= rel_tol)
+    ok = bool(np.max(rel) <= SUBMULT_REL_TOL)
     return SubmultReport(
         max_excess=float(np.max(excess)),
         max_ratio=float(ratio[i, j]),
         argmax=(int(xs[i]), int(xs[j])),
         submultiplicative=ok,
-        window=win,
-        rel_tol=rel_tol,
     )
 
 
@@ -286,7 +290,6 @@ class AlgebraConstantReport:
     constant: float
     argmax_n: int
     q: float
-    window: int | None
     tail_bound: float
 
 
@@ -310,7 +313,7 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
         ])
         ratios = conv / vals
         n_star = int(np.argmax(ratios))
-        return AlgebraConstantReport(float(ratios[n_star]), n_star, q, None, 0.0)
+        return AlgebraConstantReport(float(ratios[n_star]), n_star, q, 0.0)
     if window < 1:
         raise ParameterError("window must be >= 1")
     xs = np.arange(-window, window + 1)
@@ -325,5 +328,5 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
     else:
         partial, t = recip_power_sum(w, q, upto=max(window, 256))
         tail = 4.0 * (partial + t)
-    return AlgebraConstantReport(float(ratios[k]), int(xs[k]), q, int(window), tail)
+    return AlgebraConstantReport(float(ratios[k]), int(xs[k]), q, tail)
 

@@ -181,14 +181,6 @@ def test_compose_agrees_with_power_pipeline():
         assert sa.l1_diff(a, b) < 1e-8
 
 
-def test_compose_transform_rejects_bad_grid():
-    f = sa.delta(1)
-    with pytest.raises(ParameterError):
-        cm.compose_transform(f, cm.Blaschke(0.3), M=100)  # not a power of two
-    with pytest.raises(ParameterError):
-        cm.compose_transform(f, cm.Blaschke(0.3), M=2)
-
-
 def test_compose_zero_sequence():
     assert cm.compose_transform(sa.zero_seq(), cm.Blaschke(0.3)).is_zero
 

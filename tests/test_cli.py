@@ -149,6 +149,22 @@ def test_weights_check_group_descriptor(capsys):
     assert "ParameterError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", [
+    '{"family": "constant", "domain": {"group": "Zx"}}',
+    '{"family": "constant", "domain": {"group": 5}}',
+    '{"family": "polynomial", "a": "2"}',
+    '{"family": "tabulated", "values": "ab"}',
+    '{"family": "tabulated", "values": [2.0, 1.0], "lo": "x"}',
+    '{"family": "polynomial", "a": 2',
+    "@missing-descriptor.json",
+])
+def test_weights_check_rejects_malformed_descriptors(tmp_path, monkeypatch, capsys, weight):
+    monkeypatch.chdir(tmp_path)
+    assert main(["weights-check", "--weight", weight]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
 def test_chain_rule_pass_and_fail(capsys):
     assert main(["chain-rule", "--count", "3", "--support", "10",
                  "--seed", "1"]) == 0
@@ -156,10 +172,15 @@ def test_chain_rule_pass_and_fail(capsys):
                  "--tol", "1e-300"]) == 1
 
 
-def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["blowup", "--case", "7", "--r", "0.5"])
-    assert exc_info.value.code == 2
+def test_usage_error_exits_two(capsys):
+    for argv in (["blowup", "--case", "7", "--r", "0.5"],
+                 ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9,x"],
+                 ["distortion", "--r", "0.1,abc"],
+                 ["group-scan", "--norm-n", "3,x"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,7 @@
 """Composition operators: matrices, norms, blow-up and distortion runs."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ def test_build_matrix_columns_are_map_powers():
     mat = co.build_matrix(phi, (-6, 6), tol=1e-12)
     assert mat.n_lo == -6 and mat.n_hi == 6
     for n in (-6, -1, 0, 3, 6):
-        col = mat.column_seq(n)
+        col = sa.TruncSeq(mat.m_lo, mat.entries[:, n - mat.n_lo])
         assert sa.l1_diff(col, cm.power_coeffs(phi, n, tol=1e-12)) < 1e-10
 
 
@@ -79,15 +81,14 @@ def test_monomial_matrix_is_a_phase_line():
     lam = np.exp(0.9j)
     mat = co.build_matrix(cm.Monomial(lam, 1), (-3, 3))
     for n in range(-3, 4):
-        col = mat.column_seq(n)
+        col = sa.TruncSeq(mat.m_lo, mat.entries[:, n - mat.n_lo])
         assert col.support_len == 1
         assert col[n] == pytest.approx(lam ** n, rel=1e-12)
 
 
 def test_matrix_entry_cap():
-    with pytest.raises(Exception) as exc_info:
+    with pytest.raises(SizeError):
         co.build_matrix(cm.Blaschke(0.999), (-4000, 4000), tol=1e-14)
-    assert exc_info.type.__name__ in ("SizeError", "AccuracyError")
 
 
 @pytest.mark.parametrize("r, n_range", [(0.5, (-20, 20)), (0.5, (3, 12)),
@@ -154,7 +155,7 @@ def test_blowup_case1_rows():
         assert row.k_n == int(np.floor(alpha * row.n))
         assert row.lower_bound_ratio <= row.ratio * (1 + 1e-12)
         assert row.model_value > 0
-    d = rows[0].to_dict()
+    d = asdict(rows[0])
     assert set(d) == {"n", "ratio", "model_value", "k_n",
                       "lower_bound_ratio", "cr_empirical"}
 
@@ -290,7 +291,7 @@ def test_distortion_experiment_small():
         assert rep.nonstandard_witness
         assert rep.norm_bound_fwd == rep.norm_bound_inv  # K is even in r
     assert reports[0].distortion < reports[1].distortion
-    d = reports[0].to_dict()
+    d = asdict(reports[0])
     assert "within_bound_product" in d and "lambda_param" in d
 
 
@@ -323,14 +324,13 @@ def test_chain_rule_residual_small():
     for _ in range(5):
         f = random_seq(rng, -15, 15)
         rep = co.chain_rule_check(f, phi, tol=1e-6)
-        assert rep.passed
+        assert rep.residual_l1 < rep.tol
         assert rep.residual_l1 < 1e-6
-        assert rep.lhs_l1 > 0
 
 
 def test_chain_rule_constant_sequence_is_exact():
     rep = co.chain_rule_check(sa.delta(0, 5.0), cm.Blaschke(0.4), tol=1e-12)
-    assert rep.passed
+    assert rep.residual_l1 < rep.tol
     assert rep.residual_l1 < 1e-12
 
 

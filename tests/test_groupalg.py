@@ -169,9 +169,6 @@ def test_standard_iso_validation():
     with pytest.raises(CharacterError):
         ga.StandardIso(G, G, ga.cyclic_automorphism(4, 1),
                        np.ones(4) * 2.0)  # not multiplicative into units: 2*2 != 2
-    with pytest.raises(ParameterError):
-        ga.StandardIso(G, G, ga.cyclic_automorphism(4, 1),
-                       ga.cyclic_character(4, 0), c=-1.0)
 
 
 def test_standard_isos_are_homomorphisms():
@@ -204,9 +201,7 @@ def test_non_homomorphism_detected():
 
 def test_translation_rigidity_on_small_groups():
     for G in (ga.cyclic(2), ga.cyclic(5), ga.cyclic(9), ga.symmetric3()):
-        rep = ga.translation_rigidity_check(G)
-        assert rep.holds
-        assert list(rep.admissible_x) == [G.identity]
+        assert ga.translation_rigidity_check(G)
 
 
 # -------------------------------------------------------------- the census

@@ -128,7 +128,6 @@ def test_group_weight_scan_uses_group_table():
     G = ga.cyclic(4)
     w = wt.tabulated(np.array([1.0, 3.0, 5.0, 3.0]), group=G)
     rep = wt.check_submultiplicative(w)
-    assert rep.window is None
     assert rep.submultiplicative  # 5 <= 3*3, 3 <= 3*5, 1 <= 3*3 ...
 
 
@@ -259,6 +258,15 @@ def test_descriptor_round_trip_tabulated_group():
     {"family": "constant", "domain": "reals"},
     {"family": "subexp"},
     ["constant"],
+    # malformed values from outside the program
+    {"family": "constant", "domain": {"group": "Zx"}},
+    {"family": "constant", "domain": {"group": 5}},
+    {"family": "polynomial", "a": "2"},
+    {"family": "subexp", "gamma": True},
+    {"family": "tabulated", "values": "ab"},
+    {"family": "tabulated", "values": [1.0, "2"]},
+    {"family": "tabulated", "values": [2.0, 1.0], "lo": "x"},
+    {"family": "tabulated", "values": [2.0, 1.0], "lo": -0.5},
 ])
 def test_descriptor_rejects_unread_and_missing_keys(d):
     with pytest.raises(ParameterError):
