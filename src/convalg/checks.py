@@ -22,7 +22,7 @@ from . import compops as co
 from . import groupalg as ga
 from . import seqalg as sa
 from . import weights as wt
-from .errors import AdmissibilityError, ConvalgError
+from .errors import AdmissibilityError, ConvalgError, ParameterError
 
 
 class CheckFailure(ConvalgError, AssertionError):
@@ -255,6 +255,8 @@ def chain_rule_residual(seed: int, r: float, count: int, support: int,
     Draws ``count`` complex sequences on [-support, support] from the
     given seed; ``tol`` is passed to :func:`compops.chain_rule_check`.
     """
+    if count < 1 or support < 0:
+        raise ParameterError(f"need count >= 1 and support >= 0, got {count} and {support}")
     rng = np.random.default_rng(seed)
     phi = cm.Blaschke(r)
     worst = 0.0

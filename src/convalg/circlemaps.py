@@ -90,9 +90,13 @@ def coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
 
     For b_r these are -r at index 0 and (1 - r^2) r^(k-1) at k >= 1
     (geometric expansion of the Cauchy kernel); exact for monomials.
+    Every Blaschke coefficient route starts here, so this is where a
+    tolerance that is not positive and finite is refused.
     """
     if isinstance(phi, Monomial):
         return delta(phi.power, phi.lam)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"Blaschke coefficients need a positive finite tolerance, got {tol:g}")
     r = phi.r
     if r == 0.0:
         return delta(1)

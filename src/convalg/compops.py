@@ -24,8 +24,7 @@ from . import weights as wt
 from .circlemaps import (Blaschke, CircleMap, Monomial, coeffs,
                          compose_transform, derivative_coeffs, inverse_map,
                          power_coeffs, reflect_conj, _l1_trim, _unit_power)
-from .errors import (AccuracyError, AdmissibilityError, ParameterError,
-                     RangeError, SizeError)
+from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
 from .seqalg import (TruncSeq, convolve, delta, formal_derivative, l1_diff,
                      weighted_norm)
 
@@ -249,13 +248,8 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int, col_tol: float = 1e-10) -> 
     mat = build_matrix(phi, (-N, N), col_tol)
     rows_idx = np.arange(mat.m_lo, mat.m_hi + 1)
     cols_idx = np.arange(-N, N + 1)
-    w_out = w.eval_array(rows_idx)
-    w_in = w.eval_array(cols_idx)
-    for name, arr, idx in (("output", w_out, rows_idx), ("input", w_in, cols_idx)):
-        bad = ~np.isfinite(arr) | (arr > wt.OVERFLOW_LIMIT)
-        if np.any(bad):
-            raise RangeError(
-                f"weight overflow on the {name} window at index {int(idx[np.argmax(bad)])}")
+    w_out = wt.check_range(w.eval_array(rows_idx), rows_idx, "on the output window")
+    w_in = wt.check_range(w.eval_array(cols_idx), cols_idx, "on the input window")
     # real maps (Blaschke factors with real r) have real coefficients:
     # keep them in real storage, which halves the memory and cuts the flops
     A = mat.entries if np.any(mat.entries.imag) else np.ascontiguousarray(mat.entries.real)

@@ -250,7 +250,10 @@ def _hom_defect_cyclic(T: np.ndarray) -> float:
     n = T.shape[-1]
     V = np.fft.fft(T.transpose(0, 2, 1), axis=-1)            # (B, a, j)
     a, b = np.triu_indices(n)
-    D = V[:, a, :] * V[:, b, :] - V[:, (a + b) % n, :]
+    # in place: a fresh temporary this size exceeds glibc's mmap threshold
+    D = V[:, a, :]
+    D *= V[:, b, :]
+    D -= V[:, (a + b) % n, :]
     return float(np.max(np.abs(np.fft.ifft(D, axis=-1))))
 
 
@@ -282,7 +285,7 @@ def translation_rigidity_check(G: FiniteGroup) -> bool:
 # ---------------------------------------------------------------------
 
 
-_BLOCK_ENTRIES = 16384  # bound on B * n**3, the size of the hom defect of B perms
+_BLOCK_ENTRIES = 16384  # bound on B * n**3; the hom defect of B perms is B n^2 (n+1)/2 entries
 HOM_DEFECT_TOL = 1e-10  # largest homomorphism defect the census accepts
 
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, gammaincc as _gammaincc
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, RangeError
 from .groupalg import builtin_group
 
 OVERFLOW_LIMIT = 1e300
@@ -84,14 +83,25 @@ class Weight:
         n = np.abs(xs.astype(float))
         if self.family == CONSTANT:
             return np.ones(xs.shape, dtype=float)
-        if self.family == POLYNOMIAL:
-            return np.maximum(1.0, n ** self.param)
-        if self.family == SUBEXP:
-            return np.exp(n ** self.param)
-        # exppoly: a^|n| (1+n^2); overflow deliberately propagates as inf,
-        # callers guard against values beyond OVERFLOW_LIMIT
+        # overflow deliberately propagates as inf; callers guard against
+        # values beyond OVERFLOW_LIMIT with check_range
         with np.errstate(over="ignore"):
-            return self.param ** n * (1.0 + n * n)
+            if self.family == POLYNOMIAL:
+                return np.maximum(1.0, n ** self.param)
+            if self.family == SUBEXP:
+                return np.exp(n ** self.param)
+            return self.param ** n * (1.0 + n * n)  # exppoly: a^|n| (1+n^2)
+
+
+def check_range(values: np.ndarray, idx: np.ndarray, where: str) -> np.ndarray:
+    """``values``, or RangeError when a weight value is not finite or exceeds OVERFLOW_LIMIT.
+
+    ``idx`` holds the index of each value, for the message.
+    """
+    bad = ~np.isfinite(values) | (values > OVERFLOW_LIMIT)
+    if np.any(bad):
+        raise RangeError(f"weight overflow {where} at index {int(np.ravel(idx)[np.argmax(bad)])}")
+    return values
 
 
 def constant(group: Any = None) -> Weight:
@@ -218,17 +228,18 @@ def check_submultiplicative(w: Weight, window: int | None = None) -> SubmultRepo
         G = w.group
         xs = np.arange(G.order)
         vals = w.eval_array(xs)
-        prod_idx = G.table  # (x, y) -> xy
-        lhs = vals[prod_idx]
-        rhs = np.outer(vals, vals)
+        prods = G.table  # (x, y) -> xy
+        lhs = vals[prods]
     else:
         if window is None or window < 1:
             raise ParameterError("an integer window >= 1 is required on Z")
         xs = np.arange(-window, window + 1)
         vals = w.eval_array(xs)
-        sums = xs[:, None] + xs[None, :]
-        lhs = w.eval_array(sums)
-        rhs = np.outer(vals, vals)
+        prods = xs[:, None] + xs[None, :]
+        lhs = w.eval_array(prods)
+    # lhs holds every value read: w(x) = w(x * identity)
+    check_range(lhs, prods, "on the product window")
+    rhs = np.outer(vals, vals)
     excess = lhs - rhs
     ratio = lhs / rhs
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
@@ -257,8 +268,7 @@ def recip_power_sum(w: Weight, q: float, upto: int = 4096) -> tuple[float, float
     if w.group is not None or w.family == TABULATED:
         raise ParameterError("reciprocal power sums need a built-in family on Z")
     js = np.arange(1, upto + 1)
-    with np.errstate(over="ignore"):
-        terms = w.eval_array(js) ** (-q)
+    terms = w.eval_array(js) ** (-q)
     partial = float(np.sum(terms))
     B = float(upto)
     if w.family == CONSTANT:
@@ -267,15 +277,12 @@ def recip_power_sum(w: Weight, q: float, upto: int = 4096) -> tuple[float, float
         s = w.param * q
         tail = B ** (1.0 - s) / (s - 1.0) if s > 1.0 else math.inf
     elif w.family == SUBEXP:
-        # j^g >= (B^g + (j-B)^g)/2 for j > B, so the remainder is at most
-        # exp(-q B^g / 2) * sum_i exp(-(q/2) i^g), and the inner sum is
-        # bounded by its first term plus an incomplete-gamma integral.
-        g = w.param
-        c2 = q / 2.0
-        inner = math.exp(-c2) + (1.0 / g) * c2 ** (-1.0 / g) * float(
-            _gammaincc(1.0 / g, c2) * _gamma_fn(1.0 / g)
-        )
-        tail = math.exp(-q * B ** g / 2.0) * inner
+        # j^g >= (B^g + (j-B)^g)/2 for j > B, so with c = q/2 the remainder
+        # is at most exp(-c B^g) sum_{i>=1} exp(-c i^g); the summand falls in
+        # i, so that sum is at most int_0^inf exp(-c t^g) dt = Gamma(1+1/g) c^(-1/g).
+        g, c = w.param, q / 2.0
+        log_tail = math.lgamma(1.0 + 1.0 / g) - math.log(c) / g - c * B ** g
+        tail = math.exp(log_tail) if log_tail < math.log(np.finfo(float).max) else math.inf
     else:  # exppoly
         a = w.param
         geo = a ** (-q * (B + 1.0)) / (1.0 - a ** (-q))
@@ -305,7 +312,7 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
     q = p / (p - 1.0)
     if w.group is not None:
         G = w.group
-        vals = w.eval_array(np.arange(G.order)) ** (-q)
+        vals = _recip_powers(w, np.arange(G.order), q)
         inv = G.inverses
         # (u * u)(x) = sum_y u(y) u(y^-1 x)
         conv = np.array([
@@ -317,8 +324,7 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
     if window < 1:
         raise ParameterError("window must be >= 1")
     xs = np.arange(-window, window + 1)
-    with np.errstate(over="ignore"):
-        u = w.eval_array(xs) ** (-q)
+    u = _recip_powers(w, xs, q)
     full = np.convolve(u, u)  # index n runs over [-2*window, 2*window]
     center = full[window: 3 * window + 1]  # restrict to |n| <= window
     ratios = center / u
@@ -330,3 +336,10 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
         tail = 4.0 * (partial + t)
     return AlgebraConstantReport(float(ratios[k]), int(xs[k]), q, tail)
 
+
+def _recip_powers(w: Weight, xs: np.ndarray, q: float) -> np.ndarray:
+    """w(x)^-q on ``xs``; RangeError where w overflows or the power underflows to 0."""
+    u = check_range(w.eval_array(xs), xs, "on the window") ** (-q)
+    if np.any(u == 0.0):
+        raise RangeError(f"w^-q underflows to 0 at index {int(xs[np.argmax(u == 0.0)])}")
+    return u

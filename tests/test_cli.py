@@ -165,6 +165,31 @@ def test_weights_check_rejects_malformed_descriptors(tmp_path, monkeypatch, caps
     assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--weight", '{"family":"exppoly","a":1e10}'],
+    ["--weight", '{"family":"polynomial","a":1e400}'],
+    ["--weight", '{"family":"subexp","gamma":0.0005}', "--p", "1.001"],
+])
+def test_weights_check_refuses_values_out_of_range(capsys, argv):
+    assert main(["weights-check", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RangeError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain-rule", "--count", "-3"],
+    ["chain-rule", "--support", "-2", "--count", "2"],
+    ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "0"],
+    ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "-1"],
+    ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "nan"],
+    ["distortion", "--r", "0.1", "--N", "16", "--tol", "0"],
+])
+def test_invalid_sizes_and_tolerances_exit_one(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
 def test_chain_rule_pass_and_fail(capsys):
     assert main(["chain-rule", "--count", "3", "--support", "10",
                  "--seed", "1"]) == 0

@@ -1,5 +1,6 @@
 """Weight families: evaluation, submultiplicativity, algebra constants."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convalg import weights as wt
-from convalg.errors import ParameterError
+from convalg.errors import ParameterError, RangeError
 from convalg import groupalg as ga
 
 EXACT = 1e-12
@@ -160,10 +161,26 @@ def test_recip_power_sum_exppoly_geometric_tail():
     assert partial - eps <= brute <= partial + tail + eps
 
 
-def test_recip_power_sum_subexp_tail_bounds_remainder():
-    partial, tail = wt.recip_power_sum(wt.subexp(0.5), 2.0, upto=50)
-    brute = sum(np.exp(-2.0 * np.sqrt(n)) for n in range(1, 20000))
+# the original case first; the grid holds it too, so drop the repeat
+SUBEXP_TAIL_CASES = list(dict.fromkeys([(0.5, 2.0, 50), *itertools.product(
+    (0.3, 0.5, 0.9), (1.5, 2.0, 11.0), (50, 256))]))
+
+
+@pytest.mark.parametrize("g, q, upto", SUBEXP_TAIL_CASES)
+def test_recip_power_sum_subexp_tail_bounds_remainder(g, q, upto):
+    w = wt.subexp(g)
+    partial, tail = wt.recip_power_sum(w, q, upto=upto)
+    terms = w.eval_array(np.arange(1, 10 ** 6 + 1)) ** (-q)
+    # the same terms summed the same way: partial is exact, the rest is brute force
+    assert partial == np.sum(terms[:upto])
+    brute = partial + np.sum(terms[upto:])
     assert partial <= brute <= partial + tail
+
+
+def test_recip_power_sum_subexp_tail_is_inf_where_the_bound_overflows():
+    # Gamma(1 + 1/0.005) = 200! overflows a float
+    partial, tail = wt.recip_power_sum(wt.subexp(0.005), 2.0, upto=256)
+    assert np.isfinite(partial) and tail == np.inf
 
 
 # ------------------------------------------------------- algebra constant
@@ -191,6 +208,24 @@ def test_algebra_constant_unweighted_grows_linearly():
 def test_algebra_constant_requires_p_above_one():
     with pytest.raises(ParameterError):
         wt.algebra_constant(wt.polynomial(2.0), 1.0, 50)
+
+
+OVERFLOWING = [wt.exppoly(1e10),                # a^|n| overflows on the window
+               wt.polynomial(np.inf),            # JSON reads 1e400 as inf
+               wt.tabulated([1.0, np.inf, np.inf], group=ga.cyclic(3))]
+
+
+@pytest.mark.parametrize("w", OVERFLOWING)
+def test_submultiplicativity_scan_refuses_overflow(w):
+    with pytest.raises(RangeError, match="weight overflow"):
+        wt.check_submultiplicative(w, window=None if w.on_group else 100)
+
+
+@pytest.mark.parametrize("w, p", [(w, 2.0) for w in OVERFLOWING] + [
+    (wt.subexp(0.0005), 1.001)])                 # w^-q underflows to 0
+def test_algebra_constant_refuses_values_out_of_range(w, p):
+    with pytest.raises(RangeError):
+        wt.algebra_constant(w, p, 100)
 
 
 def test_algebra_constant_on_group_has_no_tail():
