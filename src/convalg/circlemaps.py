@@ -7,7 +7,9 @@ the circle, so reciprocals come from index-reflected complex conjugation
 of coefficient sequences.
 
 Coefficient routines return :class:`~convalg.seqalg.TruncSeq` objects
-with an l1 tail below the requested tolerance.  ``compose_transform``
+with an l1 tail below the requested tolerance.  A Blaschke factor with
+real r has real coefficients, and they are stored and multiplied as
+float64; monomials and compositions stay complex128.  ``compose_transform``
 implements the sampling pipeline: evaluate the Laurent series of f after
 the map on a root-of-unity grid, inverse DFT, and double the grid until
 the result is l1-Cauchy.
@@ -94,14 +96,14 @@ def coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
     tolerance that is not positive and finite is refused.
     """
     if isinstance(phi, Monomial):
-        return delta(phi.power, phi.lam)
+        return delta(phi.power, complex(phi.lam))
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"Blaschke coefficients need a positive finite tolerance, got {tol:g}")
     r = phi.r
     if r == 0.0:
         return delta(1)
     K = _geom_cutoff(abs(r), (1.0 - r * r) / (1.0 - abs(r)), tol)
-    vals = np.empty(K + 1, dtype=np.complex128)
+    vals = np.empty(K + 1)
     vals[0] = -r
     vals[1:] = (1.0 - r * r) * r ** np.arange(0, K)
     return TruncSeq(0, vals)
@@ -119,7 +121,7 @@ def derivative_coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
     if isinstance(phi, Monomial):
         if phi.power == 0:
             return zero_seq()
-        return delta(phi.power - 1, phi.lam * phi.power)
+        return delta(phi.power - 1, complex(phi.lam) * phi.power)
     r = phi.r
     if r == 0.0:
         return delta(0)
@@ -154,7 +156,7 @@ def _l1_trim(f: TruncSeq, budget: float) -> TruncSeq:
     left = int(np.searchsorted(np.cumsum(mags), half, side="right"))
     right = int(np.searchsorted(np.cumsum(mags[::-1]), half, side="right"))
     if left + right >= len(mags):
-        return zero_seq()
+        return TruncSeq(0, f.values[:0])
     if left == 0 and right == 0:
         return f
     return TruncSeq(f.lo + left, f.values[left: len(mags) - right])
@@ -170,11 +172,10 @@ def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
     sampling pipeline in the test suite.
     """
     n = int(n)
+    if isinstance(phi, Monomial):
+        return delta(phi.power * n, _unit_power(phi.lam, n))
     if n == 0:
         return delta(0)
-    if isinstance(phi, Monomial):
-        lam_n = _unit_power(phi.lam, n)
-        return delta(phi.power * n, lam_n)
     e = abs(n)
     base = coeffs(phi, tol / (100.0 * (e + 1.0) ** 2))
     if n < 0:
@@ -223,8 +224,13 @@ def compose_transform(f: TruncSeq, phi: CircleMap, cauchy_tol: float = 1e-9) -> 
 
     Samples on M-th roots of unity and doubles M until two successive
     grids agree within ``cauchy_tol`` in l1.  Raises
-    :class:`AccuracyError` when the 2^20-point cap is hit first.
+    :class:`AccuracyError` when the 2^20-point cap is hit first, and
+    :class:`ParameterError` before any grid for a tolerance that is not
+    positive and finite.
     """
+    if not 0.0 < cauchy_tol < math.inf:
+        raise ParameterError("composition needs a positive finite Cauchy tolerance, "
+                             f"got {cauchy_tol:g}")
     if f.is_zero:
         return f
     M = max(128, 1 << (4 * f.support_len - 1).bit_length())

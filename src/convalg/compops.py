@@ -9,8 +9,9 @@ distortion experiments, and checks the derivative chain rule.
 Truncation only discards coefficient mass, and ``op_norm_l2`` returns a
 lower bound of the truncated norm up to rounding.  Column ratios are not
 certified: a growing weight amplifies rounding noise in far rows, so
-``blowup_experiment(1, r=0.9, ns=[10], p=1, gamma=0.5)`` reports 2.0e11
-against a converged 53205.33 (ROADMAP.md item 2, certified tails).
+``blowup_experiment(1, r=0.9, ns=[10], p=1, gamma=0.5)`` reports 1.4e11,
+a rounding-noise value, against a converged 53205.33 (ROADMAP.md item 2,
+certified tails).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .circlemaps import (Blaschke, CircleMap, Monomial, coeffs,
                          compose_transform, derivative_coeffs, inverse_map,
                          power_coeffs, reflect_conj, _l1_trim, _unit_power)
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
-from .seqalg import (TruncSeq, convolve, delta, formal_derivative, l1_diff,
-                     weighted_norm)
+from .seqalg import (TruncSeq, _RightMultiplier, convolve, delta,
+                     formal_derivative, l1_diff, weighted_norm)
 
 MAX_MATRIX_ENTRIES = 50_000_000
 
@@ -65,7 +66,7 @@ class OperatorMatrix:
     n_hi: int
     m_lo: int
     m_hi: int
-    entries: np.ndarray  # shape (rows, cols), complex
+    entries: np.ndarray  # shape (rows, cols), complex; imaginary parts exactly 0 for real maps
 
 
 def _power_columns(phi: CircleMap, n_lo: int, n_hi: int,
@@ -75,7 +76,8 @@ def _power_columns(phi: CircleMap, n_lo: int, n_hi: int,
     Returns the columns with the first and last row index of their union.
     A monomial's span is known exactly before any column is built.
     Positive Blaschke powers are built by running convolution against the
-    base expansion (one convolution per column); negative powers are the
+    base expansion (one convolution per column, in real arithmetic, with
+    the base transformed once per FFT length); negative powers are the
     conjugate reflections of the positive ones.  A :class:`SizeError`
     is raised as soon as the row span of the columns built so far, times
     the column count, exceeds ``MAX_MATRIX_ENTRIES``: the row span of the
@@ -101,9 +103,10 @@ def _power_columns(phi: CircleMap, n_lo: int, n_hi: int,
     m_lo, m_hi = (0, 0) if n_lo <= 0 <= n_hi else (math.inf, -math.inf)
     base = coeffs(phi, tol / (100.0 * (top + 1.0)))
     step_budget = tol / (4.0 * max(1, top))
+    times_base = _RightMultiplier(base)
     cur = delta(0)
     for n in range(1, top + 1):
-        cur = _l1_trim(convolve(cur, base), step_budget)
+        cur = _l1_trim(times_base(cur), step_budget)
         cols[n] = cur
         if cur.is_zero:
             continue
@@ -250,8 +253,9 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int, col_tol: float = 1e-10) -> 
     cols_idx = np.arange(-N, N + 1)
     w_out = wt.check_range(w.eval_array(rows_idx), rows_idx, "on the output window")
     w_in = wt.check_range(w.eval_array(cols_idx), cols_idx, "on the input window")
-    # real maps (Blaschke factors with real r) have real coefficients:
-    # keep them in real storage, which halves the memory and cuts the flops
+    # Blaschke factors with real r have real coefficients, computed in real
+    # arithmetic, so their imaginary parts are exactly zero: keep them in
+    # real storage, which halves the memory and cuts the flops
     A = mat.entries if np.any(mat.entries.imag) else np.ascontiguousarray(mat.entries.real)
     del mat
     A *= w_out[:, None]
@@ -368,7 +372,7 @@ def chain_rule_check(f: TruncSeq, phi: CircleMap, tol: float = 1e-6) -> ChainRul
     coefficients of phi'.  Internal tolerances are tightened well below
     ``tol`` because differentiation amplifies tail indices.
     """
-    ctol = min(1e-9, tol * 1e-4)
+    ctol = min(tol * 1e-4, 1e-9)  # in this order a NaN tol stays NaN, which is refused
     lhs = formal_derivative(compose_transform(f, phi, cauchy_tol=ctol))
     rhs = convolve(compose_transform(formal_derivative(f), phi, cauchy_tol=ctol),
                    derivative_coeffs(phi, ctol))

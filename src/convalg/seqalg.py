@@ -1,8 +1,11 @@
-"""Finitely supported two-sided complex sequences and their algebra.
+"""Finitely supported two-sided sequences and their algebra.
 
 ``TruncSeq`` stores coefficients on a contiguous index window of Z with
 exact zeros trimmed from both ends; the empty window is the zero
-sequence.  Convolution, weighted p-norms, translation, the formal
+sequence.  Real coefficients are stored as float64 and complex ones as
+complex128, and convolution keeps real data real (a real FFT when both
+factors are real), so the imaginary parts of real sequences stay exactly
+zero.  Convolution, weighted p-norms, translation, the formal
 derivative/antiderivative pair and sampling of the associated Laurent
 series at roots of unity live here.
 """
@@ -21,13 +24,18 @@ MAX_RESULT_LEN = 1 << 22
 
 @dataclass(frozen=True, eq=False)
 class TruncSeq:
-    """Coefficients ``values[k]`` at indices ``lo + k``; exact-zero ends trimmed."""
+    """Coefficients ``values[k]`` at indices ``lo + k``; exact-zero ends trimmed.
+
+    ``values`` is float64 when the given values are real and complex128
+    otherwise.
+    """
 
     lo: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
+        vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.ndim != 1:
             raise ParameterError("coefficients must form a one-dimensional array")
         nz = np.nonzero(vals)[0]
@@ -72,7 +80,7 @@ class TruncSeq:
             return self
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
-        out = np.zeros(hi - lo + 1, dtype=np.complex128)
+        out = np.zeros(hi - lo + 1, dtype=np.result_type(self.values, other.values))
         out[self.lo - lo: self.lo - lo + len(self.values)] += self.values
         out[other.lo - lo: other.lo - lo + len(other.values)] += other.values
         return TruncSeq(lo, out)
@@ -94,8 +102,8 @@ def zero_seq() -> TruncSeq:
 
 
 def delta(n: int, value: complex = 1.0) -> TruncSeq:
-    """The unit point mass at index n (scaled by ``value``)."""
-    return TruncSeq(int(n), np.asarray([value], dtype=np.complex128))
+    """The unit point mass at index n (scaled by ``value``, whose dtype it keeps)."""
+    return TruncSeq(int(n), np.asarray([value]))
 
 
 def l1_norm(f: TruncSeq) -> float:
@@ -114,25 +122,59 @@ def l1_diff(f: TruncSeq, g: TruncSeq) -> float:
 def convolve(f: TruncSeq, g: TruncSeq, method: str = "auto") -> TruncSeq:
     """Convolution sum h(n) = sum_k f(k) g(n-k).
 
-    ``method`` is "direct" (quadratic sum), "fft" (zero-padded DFT) or
-    "auto"; the two explicit routes agree within 1e-9 absolutely and the
-    direct route is exact on integer inputs.
+    ``method`` is "direct" (quadratic sum), "fft" (zero-padded DFT, a
+    real one when both factors are real) or "auto"; the two explicit
+    routes agree within 1e-9 absolutely and the direct route is exact on
+    integer inputs.  ``convolve(f, f)`` transforms f once.
     """
-    if f.is_zero or g.is_zero:
-        return zero_seq()
-    out_len = len(f.values) + len(g.values) - 1
-    if out_len > MAX_RESULT_LEN:
-        raise SizeError(f"convolution support {out_len} exceeds {MAX_RESULT_LEN}")
-    if method == "auto":
-        method = "direct" if (out_len <= 512 or min(len(f.values), len(g.values)) <= 32) else "fft"
-    if method == "direct":
-        out = np.convolve(f.values, g.values)
-    elif method == "fft":
-        nfft = 1 << (out_len - 1).bit_length()
-        out = np.fft.ifft(np.fft.fft(f.values, nfft) * np.fft.fft(g.values, nfft))[:out_len]
-    else:
-        raise ParameterError(f"unknown convolution method {method!r}")
-    return TruncSeq(f.lo + g.lo, out)
+    return _RightMultiplier(g)(f, method)
+
+
+class _RightMultiplier:
+    """f -> f * g for a fixed right factor g, which keeps g's spectrum.
+
+    It keeps the spectrum of g at the last FFT length used, also for a
+    left factor that is g itself, so a loop whose lengths only grow
+    transforms g once per length.  Such a loop holds one multiplier;
+    ``convolve`` makes one per call, so no spectrum outlives its caller.
+    """
+
+    def __init__(self, g: TruncSeq) -> None:
+        self.g = g
+        self._key: tuple[int, bool] | None = None
+        self._spectrum: np.ndarray | None = None
+
+    def _g_spectrum(self, nfft: int, real: bool) -> np.ndarray:
+        if self._key != (nfft, real):
+            self._key, self._spectrum = (nfft, real), _dft(self.g.values, nfft, real)
+        return self._spectrum
+
+    def __call__(self, f: TruncSeq, method: str = "auto") -> TruncSeq:
+        g = self.g
+        if f.is_zero or g.is_zero:
+            return TruncSeq(0, np.zeros(0, dtype=np.result_type(f.values, g.values)))
+        out_len = len(f.values) + len(g.values) - 1
+        if out_len > MAX_RESULT_LEN:
+            raise SizeError(f"convolution support {out_len} exceeds {MAX_RESULT_LEN}")
+        if method == "auto":
+            short = out_len <= 512 or min(len(f.values), len(g.values)) <= 32
+            method = "direct" if short else "fft"
+        if method == "direct":
+            out = np.convolve(f.values, g.values)
+        elif method == "fft":
+            nfft = 1 << (out_len - 1).bit_length()
+            real = not (np.iscomplexobj(f.values) or np.iscomplexobj(g.values))
+            G = self._g_spectrum(nfft, real)
+            F = G if f is g else _dft(f.values, nfft, real)
+            out = (np.fft.irfft(F * G, nfft) if real else np.fft.ifft(F * G))[:out_len]
+        else:
+            raise ParameterError(f"unknown convolution method {method!r}")
+        return TruncSeq(f.lo + g.lo, out)
+
+
+def _dft(values: np.ndarray, nfft: int, real: bool) -> np.ndarray:
+    """Zero-padded DFT of length nfft; the half spectrum of real values when ``real``."""
+    return np.fft.rfft(values, nfft) if real else np.fft.fft(values, nfft)
 
 
 # ---------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .groupalg import builtin_group
 
 OVERFLOW_LIMIT = 1e300
 SUBMULT_REL_TOL = 1e-12  # relative excess the submultiplicativity verdict allows
+_PRODUCT_LIMIT = 1e306  # w(x) w(y) cap: 1e6 * OVERFLOW_LIMIT, well below the float maximum
 
 CONSTANT = "constant"
 POLYNOMIAL = "polynomial"
@@ -239,7 +240,14 @@ def check_submultiplicative(w: Weight, window: int | None = None) -> SubmultRepo
         lhs = w.eval_array(prods)
     # lhs holds every value read: w(x) = w(x * identity)
     check_range(lhs, prods, "on the product window")
-    rhs = np.outer(vals, vals)
+    # w(x) w(y) can overflow although both factors are at most OVERFLOW_LIMIT,
+    # so it is formed only up to _PRODUCT_LIMIT and capped there.  A capped
+    # pair holds, as w(xy) <= OVERFLOW_LIMIT, and attains neither maximum:
+    # its ratio is below 1e-6, while the identity (w = 1) gives ratio 1.
+    logs = np.log(vals)
+    fits = logs[:, None] + logs[None, :] <= math.log(_PRODUCT_LIMIT)
+    rhs = np.multiply(vals[:, None], vals[None, :], out=np.full(lhs.shape, _PRODUCT_LIMIT),
+                      where=fits)
     excess = lhs - rhs
     ratio = lhs / rhs
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)

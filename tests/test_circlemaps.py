@@ -84,6 +84,20 @@ def test_blaschke_coefficients_match_sampling_oracle(r):
                                atol=SAMPLE_TOL)
 
 
+def test_real_coefficients_are_float64_and_monomials_complex():
+    phi = cm.Blaschke(-0.6)
+    for seq in (cm.coeffs(phi), cm.coeffs(cm.Blaschke(0.0)), cm.derivative_coeffs(phi),
+                cm.power_coeffs(phi, 5), cm.power_coeffs(phi, -5), cm.power_coeffs(phi, 0),
+                cm.reflect_conj(cm.coeffs(phi)), cm._l1_trim(cm.coeffs(phi), 1e-3),
+                cm._l1_trim(cm.coeffs(phi), 10.0)):
+        assert seq.values.dtype == np.float64
+    for seq in (cm.coeffs(cm.Monomial(1.0, 2)), cm.derivative_coeffs(cm.Monomial(-1.0, 2)),
+                cm.power_coeffs(cm.Monomial(1.0, 1), 0), cm.power_coeffs(cm.Monomial(1.0, 1), 3),
+                cm.compose_transform(sa.delta(2), phi)):
+        assert seq.values.dtype == np.complex128
+    assert cm._l1_trim(cm.coeffs(phi), 10.0).is_zero
+
+
 def test_monomial_coefficients_are_a_single_delta():
     c = cm.coeffs(cm.Monomial(1j, -2))
     assert c.same(sa.delta(-2, 1j))
@@ -150,6 +164,15 @@ def test_negative_monomial_power():
 
 
 # -------------------------------------------------------------- composition
+
+
+@pytest.mark.parametrize("cauchy_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_compose_transform_refuses_a_bad_tolerance_before_any_grid(monkeypatch, cauchy_tol):
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(cm, "_compose_once", no_grid)
+    with pytest.raises(ParameterError, match="Cauchy tolerance"):
+        cm.compose_transform(sa.delta(3), cm.Blaschke(0.5), cauchy_tol=cauchy_tol)
 
 
 def test_compose_with_identity_map_is_identity():

@@ -183,6 +183,9 @@ def test_weights_check_refuses_values_out_of_range(capsys, argv):
     ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "-1"],
     ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "nan"],
     ["distortion", "--r", "0.1", "--N", "16", "--tol", "0"],
+    ["chain-rule", "--tol", "0"],
+    ["chain-rule", "--tol", "-1"],
+    ["chain-rule", "--tol", "nan"],
 ])
 def test_invalid_sizes_and_tolerances_exit_one(capsys, argv):
     assert main(argv) == 1

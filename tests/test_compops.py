@@ -106,6 +106,37 @@ def test_entry_cap_refuses_exactly_the_oversize_builds(monkeypatch, r, n_range):
     assert np.array_equal(capped.entries, full.entries)
 
 
+@pytest.mark.parametrize("r, N", [(0.5, 500), (0.9, 250)])
+def test_blaschke_matrices_have_exactly_real_entries(r, N):
+    # the complex FFT route left imaginary parts of 3.0e-15 and 1.9e-15 here
+    mat = co.build_matrix(cm.Blaschke(r), (-N, N))
+    assert mat.entries.dtype == np.complex128
+    assert not np.any(mat.entries.imag)
+    mono = co.build_matrix(cm.Monomial(np.exp(0.3j), 1), (-N, N))
+    assert mono.entries.dtype == np.complex128 and np.any(mono.entries.imag)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9])
+def test_build_matrix_columns_equal_power_coeffs(r):
+    # at r = 0.3 each column step is a direct convolution, at r = 0.9 an FFT one
+    phi, N, tol = cm.Blaschke(r), 40, 1e-13
+    mat = co.build_matrix(phi, (-N, N), tol)
+    for n in range(-N, N + 1):
+        col = sa.TruncSeq(mat.m_lo, mat.entries[:, n + N])
+        assert sa.l1_diff(col, cm.power_coeffs(phi, n, tol)) <= 1e-12
+
+
+def test_power_columns_transform_the_base_once_per_fft_length(monkeypatch):
+    calls = []
+    dft = sa._dft
+    monkeypatch.setattr(sa, "_dft", lambda *args: calls.append(args) or dft(*args))
+    co.build_matrix(cm.Blaschke(0.9), (-60, 60))
+    base = calls[0][0]  # the first FFT step transforms the base before the column
+    base_lengths = [nfft for values, nfft, _ in calls if values is base]
+    assert len(calls) > 2 * len(base_lengths) > 0
+    assert base_lengths == sorted(set(nfft for _, nfft, _ in calls))
+
+
 def test_monomial_entry_cap_uses_the_exact_span(monkeypatch):
     # z -> lam z^-3 on columns 2..9 fills rows -27..-6, one entry a column,
     # and row 0 stays out because column 0 is not requested

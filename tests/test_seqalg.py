@@ -66,6 +66,20 @@ def test_scalar_multiplication():
     assert f[1] == 6.0
 
 
+@pytest.mark.parametrize("values, dtype", [
+    ([1.0, 2.0], np.float64), ([1, 2], np.float64), (np.ones(2, dtype=np.float32), np.float64),
+    ([1.0 + 0j, 2.0], np.complex128), ([1j], np.complex128)])
+def test_real_values_are_stored_as_float64(values, dtype):
+    assert sa.TruncSeq(0, values).values.dtype == dtype
+
+
+def test_delta_keeps_the_dtype_of_its_value():
+    assert sa.delta(3).values.dtype == np.float64
+    assert sa.delta(3, 2.0).values.dtype == np.float64
+    assert sa.delta(3, 1.0 + 0j).values.dtype == np.complex128
+    assert sa.delta(3, 2j).values.dtype == np.complex128
+
+
 def test_values_are_read_only():
     f = sa.delta(0)
     with pytest.raises(ValueError):
@@ -118,6 +132,40 @@ def test_convolution_commutes():
     f = sa.TruncSeq(-5, rng.standard_normal(11))
     g = sa.TruncSeq(2, rng.standard_normal(7))
     assert sa.l1_diff(sa.convolve(f, g), sa.convolve(g, f)) < 1e-12
+
+
+def _real_pair():
+    rng = np.random.default_rng(3)
+    return (sa.TruncSeq(-40, rng.standard_normal(700) / 700),
+            sa.TruncSeq(5, rng.standard_normal(300) / 300))
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_real_route_agrees_with_the_complex_route(method):
+    f, g = _real_pair()
+    real = sa.convolve(f, g, method)
+    cplx = sa.convolve(sa.TruncSeq(f.lo, f.values + 0j), sa.TruncSeq(g.lo, g.values + 0j), method)
+    assert real.values.dtype == np.float64 and cplx.values.dtype == np.complex128
+    assert sa.l1_diff(real, cplx) <= 1e-12
+    mixed = sa.convolve(f, sa.TruncSeq(g.lo, g.values + 0j), method)
+    assert mixed.values.dtype == np.complex128
+    assert sa.l1_diff(mixed, cplx) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_self_convolution_transforms_once_and_equals_a_copy(monkeypatch, complex_values):
+    f, _ = _real_pair()
+    if complex_values:
+        f = sa.TruncSeq(f.lo, f.values + 1j * f.values[::-1])
+    copy = sa.TruncSeq(f.lo, f.values.copy())
+    calls = []
+    dft = sa._dft
+    monkeypatch.setattr(sa, "_dft", lambda *args: calls.append(args) or dft(*args))
+    square = sa.convolve(f, f, "fft")
+    assert len(calls) == 1
+    other = sa.convolve(f, copy, "fft")
+    assert len(calls) == 3
+    assert square.same(other) and square.values.dtype == f.values.dtype
 
 
 def test_result_length_cap():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,16 @@ OVERFLOWING = [wt.exppoly(1e10),                # a^|n| overflows on the window
 def test_submultiplicativity_scan_refuses_overflow(w):
     with pytest.raises(RangeError, match="weight overflow"):
         wt.check_submultiplicative(w, window=None if w.on_group else 100)
+
+
+def test_submultiplicativity_scan_does_not_overflow_the_product():
+    # w(100) w(100) = 1e400 overflows although w(100) = 1e200 is in range
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rep = wt.check_submultiplicative(wt.polynomial(100.0), window=100)
+    assert not rep.submultiplicative
+    assert rep.max_ratio == 2.0 ** 100 and rep.argmax == (-1, -1)
+    assert rep.max_excess == 1.704813829421526e+200
 
 
 @pytest.mark.parametrize("w, p", [(w, 2.0) for w in OVERFLOWING] + [
