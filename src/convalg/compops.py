@@ -237,14 +237,29 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int, col_tol: float = 1e-10) -> 
 
     Columns are the powers phi^n for |n| <= N; the weighted matrix is
     A = D_out M D_in^{-1} with diagonal weights on the output window (the
-    union of the column supports) and input window.  The unit top
-    eigenvector v of the Gram matrix A^H A (dense symmetric eigen-solve)
-    gives sigma = ||A v||, so the returned value never exceeds ||A|| up
-    to rounding: it is a lower bound of the truncated norm.  The pair is
-    checked by the residual ||A^H u - sigma v|| with u = A v / sigma,
-    which bounds the distance from sigma to a singular value of A
-    (Golub & Van Loan, ch. 8); an :class:`AccuracyError` is raised when
-    it exceeds ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix has norm 0.
+    union of the column supports) and input window.
+
+    When A is real, its row window is -m..m and A[-k, -n] = A[k, n]
+    exactly (real Blaschke maps under any even weight), A commutes with
+    the flip (Jf)(n) = f(-n) and maps even sequences to even ones and odd
+    to odd.  Then A is orthogonally equivalent to the direct sum of two
+    blocks: the even block on the orthonormal bases e_0, (e_n + e_-n)/sqrt 2,
+    of size (m+1) x (N+1), and the odd block on (e_n - e_-n)/sqrt 2, of
+    size m x N.  Each is solved on its own and the larger value returned;
+    any other matrix is solved as a single block.
+
+    Each block is B = P^T A Q, where the orthonormal columns of Q and P
+    are its input and output bases (identities for a single block); A
+    maps the span of Q into that of P, and A^H back.  The unit top
+    eigenvector v of the Gram matrix B^H B (dense symmetric eigen-solve)
+    gives sigma = ||B v|| = ||A Q v|| with Q v a unit vector, so the
+    returned value never exceeds ||A|| up to rounding: it is a lower
+    bound of the truncated norm.  The pair is checked by the residual
+    ||B^H u - sigma v|| with u = B v / sigma, which equals the residual
+    of the pair (P u, Q v) of A and so bounds the distance from sigma to
+    a singular value of A (Golub & Van Loan, ch. 8); an
+    :class:`AccuracyError` is raised when it exceeds
+    ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix has norm 0.
     """
     if N < 0:
         raise ParameterError("N must be nonnegative")
@@ -257,16 +272,39 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int, col_tol: float = 1e-10) -> 
     # arithmetic, so their imaginary parts are exactly zero: keep them in
     # real storage, which halves the memory and cuts the flops
     A = mat.entries if np.any(mat.entries.imag) else np.ascontiguousarray(mat.entries.real)
+    m, symmetric_window = mat.m_hi, mat.m_lo == -mat.m_hi
     del mat
     A *= w_out[:, None]
     A /= w_in[None, :]
-    AH = A.conj().T if np.iscomplexobj(A) else A.T
-    v = np.linalg.eigh(AH @ A)[1][:, -1]
-    Av = A @ v
-    sigma = float(np.linalg.norm(Av))
+    if symmetric_window and not np.iscomplexobj(A) and np.array_equal(A, A[::-1, ::-1]):
+        blocks = _flip_blocks(A, m, N)
+    else:
+        blocks = [A]
+    del A
+    # the odd block is empty at N = 0
+    return max(_top_singular_value(B) for B in blocks if B.size)
+
+
+def _flip_blocks(A: np.ndarray, m: int, N: int) -> list[np.ndarray]:
+    """Even and odd blocks of a flip-symmetric A in the orthonormal bases."""
+    # rows 0..m against columns n = 0..N and n = 0, -1, ..., -N
+    plus, minus = A[m:, N:], A[m:, N::-1]
+    even = plus + minus
+    even[0] *= math.sqrt(0.5)
+    even[:, 0] *= math.sqrt(0.5)
+    even[0, 0] = plus[0, 0]  # e_0 to e_0: the entry itself, not 2 A[0, 0] sqrt(0.5)^2
+    return [even, plus[1:, 1:] - minus[1:, 1:]]
+
+
+def _top_singular_value(B: np.ndarray) -> float:
+    """sigma = ||B v|| for the top eigenvector v of B^H B, residual-checked."""
+    BH = B.conj().T if np.iscomplexobj(B) else B.T
+    v = np.linalg.eigh(BH @ B)[1][:, -1]
+    Bv = B @ v
+    sigma = float(np.linalg.norm(Bv))
     if sigma == 0.0:
         return 0.0
-    residual = float(np.linalg.norm(AH @ (Av / sigma) - sigma * v))
+    residual = float(np.linalg.norm(BH @ (Bv / sigma) - sigma * v))
     if not residual <= NORM_RESIDUAL_TOL * sigma:
         raise AccuracyError(
             f"singular pair residual {residual:.3g} exceeds {NORM_RESIDUAL_TOL:g} * sigma")

@@ -12,7 +12,7 @@ from convalg import weights as wt
 from convalg.errors import (AccuracyError, AdmissibilityError, ParameterError,
                             RangeError, SizeError)
 
-NORM_REL_TOL = 1e-4   # op_norm_l2 vs dense SVD
+NORM_REL_TOL = 1e-10  # op_norm_l2 vs dense SVD
 RATIO_REL_TOL = 1e-6  # frozen column ratios
 
 
@@ -274,6 +274,63 @@ def test_op_norm_raises_when_the_residual_check_fails(monkeypatch):
 def test_op_norm_rejects_overflowing_weight():
     with pytest.raises(RangeError):
         co.op_norm_l2(cm.Blaschke(0.1), wt.exppoly(50.0), 300)
+
+
+def test_op_norm_at_the_smallest_truncations():
+    # at N = 0 the odd block is empty and is skipped
+    w = wt.polynomial(2.0)
+    assert co.op_norm_l2(cm.Blaschke(0.3), w, 0) == 1.0
+    assert co.op_norm_l2(cm.Blaschke(0.3), w, 1) == pytest.approx(1.7403135843503, abs=1e-12)
+
+
+def recorded_eigh_sizes(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(G):
+        sizes.append(G.shape[0])
+        return eigh(G)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+def test_op_norm_splits_a_flip_symmetric_matrix(monkeypatch):
+    sizes = recorded_eigh_sizes(monkeypatch)
+    co.op_norm_l2(cm.Blaschke(0.2), wt.polynomial(2.0), 32)
+    assert sizes == [33, 32]
+
+
+def test_op_norm_solves_a_complex_matrix_whole(monkeypatch):
+    sizes = recorded_eigh_sizes(monkeypatch)
+    co.op_norm_l2(cm.Monomial(1j, 1), wt.polynomial(2.0), 32)
+    assert sizes == [65]
+
+
+def test_op_norm_solves_an_asymmetric_weight_whole(monkeypatch):
+    # w(n) = exp(n / 100) on -100..100 covers the rows -79..79 of b_0.2 at N = 32
+    w = wt.tabulated(np.exp(0.01 * np.arange(-100, 101)), lo=-100)
+    phi = cm.Blaschke(0.2)
+    top = np.linalg.svd(weighted_matrix(phi, w, 32), compute_uv=False)[0]
+    sizes = recorded_eigh_sizes(monkeypatch)
+    assert co.op_norm_l2(phi, w, 32) == pytest.approx(top, rel=1e-10)
+    assert sizes == [65]
+
+
+@pytest.mark.parametrize("w", [wt.subexp(0.5), wt.exppoly(1.5), wt.constant()],
+                         ids=["subexp", "exppoly", "constant"])
+def test_split_op_norm_matches_full_svd(w):
+    phi = cm.Blaschke(0.3)
+    top = np.linalg.svd(weighted_matrix(phi, w, 64), compute_uv=False)[0]
+    assert co.op_norm_l2(phi, w, 64) == pytest.approx(top, rel=1e-10)
+
+
+def test_unweighted_op_norm_approaches_the_exact_norm():
+    # on L^2(T), ||C_{b_r}|| = ((1 + r) / (1 - r))^(1/2), here (13/7)^(1/2)
+    exact = np.sqrt(13.0 / 7.0)
+    norms = [co.op_norm_l2(cm.Blaschke(0.3), wt.constant(), N) for N in (32, 128, 512)]
+    assert norms[0] < norms[1] < norms[2] <= exact * (1.0 + 1e-12)
+    assert exact - norms[2] < 1e-5
 
 
 # ------------------------------------------------------------- norm bound
