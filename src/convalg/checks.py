@@ -222,14 +222,14 @@ def unweighted_contrast() -> str:
 def distortion_monotone() -> str:
     """Distortion grows in r and is small near the identity."""
     w = wt.polynomial(2.0)
-    reports = co.distortion_experiment(w, [0.02, 0.05, 0.1, 0.2], N=256, lam=1.0)
+    reports = co.distortion_experiment(w, [0.02, 0.05, 0.1, 0.2], N=256)
     d = [rep.distortion for rep in reports]
     _require(all(b > a for a, b in zip(d, d[1:])), f"not increasing: {d}")
     _require(d[0] <= 1.25, f"distortion(0.02) = {d[0]:g}")
     for rep in reports:
         _require(rep.distortion >= 1.0 - 1e-9, f"distortion {rep.distortion:g} below 1")
         _require(rep.nonstandard_witness, f"no witness at r={rep.r}")
-    small = co.distortion_experiment(w, [0.02], N=512, lam=1.0)[0]
+    small = co.distortion_experiment(w, [0.02], N=512)[0]
     ref = reports[0]
     gap_fwd = abs(ref.norm_fwd - small.norm_fwd) / small.norm_fwd
     gap_inv = abs(ref.norm_inv - small.norm_inv) / small.norm_inv
@@ -238,14 +238,19 @@ def distortion_monotone() -> str:
     return "distortions " + " < ".join(f"{v:.4f}" for v in d)
 
 
-def norm_bound_formula() -> str:
-    """Closed-form norm bound: unit value at r = 0 and a hand evaluation."""
-    w = wt.polynomial(2.0)
-    unit = co.composition_norm_bound(0.0, w, 1.0)
-    _require(unit == 1.0, f"bound at r=0 came out {unit}")
-    val = co.composition_norm_bound(0.1, w, 1.0)
-    _require(abs(val - 1.3453) < 1e-3, f"bound at r=0.1 came out {val}")
-    return f"bound(0) = 1, bound(0.1) = {val:.5f}"
+def unweighted_exact_norm() -> str:
+    """Truncated norms rise to the exact norm of C_{b_r} on L^2(T).
+
+    On L^2(T), ||C_{b_r}|| = ((1 + r) / (1 - r))^(1/2), here (13/7)^(1/2)
+    at r = 0.3; the truncated norms are lower bounds that increase in N.
+    """
+    exact = np.sqrt(13.0 / 7.0)
+    norms = [co.op_norm_l2(cm.Blaschke(0.3), wt.constant(), N) for N in (32, 128, 512)]
+    _require(norms[0] < norms[1] < norms[2] <= exact * (1.0 + 1e-12),
+             f"norms {norms} not increasing to at most {exact!r}")
+    _require(exact - norms[2] < 1e-5, f"N=512 norm {norms[2]!r} is {exact - norms[2]:g} short")
+    return (", ".join(f"{v:.6f}" for v in norms)
+            + f" at N = 32, 128, 512; exact {exact:.6f}")
 
 
 def chain_rule_residual(seed: int, r: float, count: int, support: int,
@@ -374,7 +379,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("compops", "blowup-case1", blowup_case1),
     ("compops", "blowup-case2", blowup_case2),
     ("compops", "unweighted-contrast", unweighted_contrast),
-    ("compops", "norm-bound-formula", norm_bound_formula),
+    ("compops", "unweighted-exact-norm", unweighted_exact_norm),
     ("compops", "distortion-monotone", distortion_monotone),
     ("compops", "chain-rule", chain_rule),
     ("groupalg", "standard-iso-homomorphism", standard_iso_homomorphism),

@@ -28,7 +28,7 @@ ALLOWED = {
 
 # reports the CLI writes whole, through dataclasses.fields/asdict: each
 # field is a report column, also one that no code reads by name
-WRITTEN_WHOLE = {"compops.BlowupRow", "compops.DistortionReport"}
+WRITTEN_WHOLE = {"compops.BlowupRow"}
 
 
 def _public(name: str) -> bool:
