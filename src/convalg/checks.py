@@ -201,7 +201,7 @@ def blowup_case2() -> str:
         pass
     else:
         raise CheckFailure("r = 0.6, a = 2 was not rejected")
-    return ("ratios " + ", ".join(f"{v:.3g}" for v in ratios.values())
+    return ("certified ratios " + ", ".join(f"{v:.7g}" for v in ratios.values())
             + "; r=0.6 rejected")
 
 

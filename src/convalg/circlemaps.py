@@ -25,8 +25,10 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .seqalg import TruncSeq, convolve, delta, l1_diff, zero_seq
+from .weights import CONSTANT, TABULATED, Weight, geometric_tail
 
 MAX_LOG2_GRID = 20
+MAX_SERIES_ROWS = 1 << 14
 UNIT_TOL = 1e-12
 
 
@@ -102,7 +104,11 @@ def coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
     r = phi.r
     if r == 0.0:
         return delta(1)
-    K = _geom_cutoff(abs(r), (1.0 - r * r) / (1.0 - abs(r)), tol)
+    return _blaschke_rows(r, _geom_cutoff(abs(r), (1.0 - r * r) / (1.0 - abs(r)), tol))
+
+
+def _blaschke_rows(r: float, K: int) -> TruncSeq:
+    """The coefficients 0..K of b_r: -r, then (1 - r^2) r^(k-1)."""
     vals = np.empty(K + 1)
     vals[0] = -r
     vals[1:] = (1.0 - r * r) * r ** np.arange(0, K)
@@ -162,14 +168,53 @@ def _l1_trim(f: TruncSeq, budget: float) -> TruncSeq:
     return TruncSeq(f.lo + left, f.values[left: len(mags) - right])
 
 
+def weighted_power(phi: CircleMap, n: int, w: Weight, budget: float) -> tuple[TruncSeq, float]:
+    """phi^n and a bound E <= ``budget`` of its error in the w-weighted l1 norm.
+
+    That norm dominates every ||.||_{p,w} with p >= 1.  Monomials, b_0
+    and n = 0 have exact columns (E = 0).  Under a constant or tabulated
+    weight the column is ``power_coeffs`` at the l1 budget budget / sup w.
+    The growing families are symmetric, so b_r^-n, the conjugate
+    reflection of b_r^n, has the same bound as b_r^n from ``_power_rows``.
+    """
+    if isinstance(phi, Monomial) or phi.r == 0.0 or n == 0:
+        return power_coeffs(phi, n), 0.0
+    if w.family in (CONSTANT, TABULATED):
+        return power_coeffs(phi, n, budget / max(w.table or (1.0,))), budget
+    col, err = _power_rows(phi, abs(n), w, budget)
+    return (reflect_conj(col) if n < 0 else col), err
+
+
+def power_l1_bound(phi: CircleMap, m: int) -> float:
+    """An upper bound of ||phi^k||_1 for every |k| <= m, nondecreasing in m; 1 for a monomial.
+
+    Write c for the coefficients of f = b_r^m.  As |b_r| = 1 on the
+    circle, ||c||_2 = 1, and z f'(z) - m f(z) = m f(z) (P(z) - 1) with P
+    the Poisson kernel (1 - r^2)/|z - r|^2, whose mean square is
+    (1 + r^2)/(1 - r^2); so sum (k - m)^2 |c_k|^2 = (m s)^2 with
+    s = |r| sqrt(2/(1 - r^2)).  Cauchy-Schwarz against the weights
+    1 + ((k - m)/(m s))^2, whose reciprocals sum to at most 1 + pi m s,
+    gives ||c||_1 <= sqrt(2 (1 + pi m s)), also for b_r^-m, its conjugate reflection.
+    """
+    if isinstance(phi, Monomial):
+        return 1.0
+    return math.sqrt(2.0 * (1.0 + math.pi * m * abs(phi.r) * math.sqrt(2.0 / (1.0 - phi.r ** 2))))
+
+
 def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
-    """Coefficients of phi^n (n may be negative), l1 truncation budget tol.
+    """Coefficients of phi^n (n may be negative), within ``tol`` <= 1 of the exact ones in l1.
 
     Negative powers use 1/phi = conj(phi) on the circle, i.e. the
     conjugate-reflected coefficient sequence, then |n|-fold convolution
-    by binary powering.  The budget is split across the base expansion
-    and the intermediate trims; accuracy is cross-checked against the
-    sampling pipeline in the test suite.
+    by binary powering, each product l1-trimmed.  Expanded, the computed
+    result is b^n plus terms b^k (k <= |n|) times dropped pieces, so its
+    l1 error is at most beta (V - 1), beta = ``power_l1_bound(phi, |n|)``
+    and V <= exp(sum of j d) over the dropped pieces, of mass d, each held
+    j times by the result.  The base expansion is held |n| times and gets
+    tol / (4 |n| beta); each of the S products gets tol / (4 S j beta), so
+    the late, long products, held once or twice, get the loosest trims.
+    Then sum j d <= tol / (2 beta), and the error is at most tol, up to
+    rounding.
     """
     n = int(n)
     if isinstance(phi, Monomial):
@@ -177,19 +222,80 @@ def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
     if n == 0:
         return delta(0)
     e = abs(n)
-    base = coeffs(phi, tol / (100.0 * (e + 1.0) ** 2))
+    beta = power_l1_bound(phi, e)
+    base = coeffs(phi, tol / (4.0 * e * beta))
     if n < 0:
         base = reflect_conj(base)
-    n_mults = max(1, e.bit_length() - 1 + bin(e).count("1") - 1)
-    step_budget = tol / (4.0 * n_mults)
+    n_mults = e.bit_length() - 1 + bin(e).count("1") - 1
+    return _binary_power(base, e, lambda f, g, held:
+                         _l1_trim(convolve(f, g), tol / (4.0 * n_mults * held * beta)))
+
+
+def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[TruncSeq, float]:
+    """Rows 0..K of b_r^n (n >= 1, r != 0), and E >= sum_{k>K} w(k) |c_k| with E <= tail_tol.
+
+    b_r^n is analytic on |z| < 1/|r|, so Cauchy's estimate gives
+    |c_k| <= rho^-k M(rho)^n for 1 <= rho < 1/|r|, with M(rho) =
+    (rho - |r|)/(1 - |r| rho) its maximum on |z| = rho, and the rows beyond
+    K hold at most M(rho)^n ``geometric_tail(w, 1/rho, K)``.  Each K is
+    tried at the rho minimising rho^-K M(rho)^n, the root above 1 of
+    |r| K rho^2 - (K (1 + r^2) - n (1 - r^2)) rho + |r| K = 0, which exists
+    for K > n (1 + |r|)/(1 - |r|); K doubles from there until the bound
+    holds, then bisects back.  :class:`AccuracyError` is raised past
+    ``MAX_SERIES_ROWS`` rows.
+
+    The rows come from products by direct convolution, each cut after row
+    K; the rows kept depend only on rows 0..K of the factors, so nothing
+    is lost.  A direct sum keeps the rounding error of a row small
+    against the magnitudes it adds up, which fall geometrically in far
+    rows.  An FFT spreads rounding noise evenly over all rows, and a
+    growing weight magnifies it there.
+    """
+    x = abs(phi.r)
+
+    def bound(K: int) -> float:
+        b = K * (1.0 + x * x) - n * (1.0 - x * x)
+        disc = b * b - 4.0 * (K * x) ** 2
+        if not (b > 0.0 and disc > 0.0):
+            return math.inf
+        rho = (b + math.sqrt(disc)) / (2.0 * K * x)
+        tail = geometric_tail(w, 1.0 / rho, K)
+        if not 0.0 < tail < math.inf:
+            return tail
+        log_bound = n * math.log((rho - x) / (1.0 - x * rho)) + math.log(tail)
+        return math.exp(log_bound) if log_bound < 700.0 else math.inf
+
+    lo = math.floor(n * (1.0 + x) / (1.0 - x))
+    hi = lo + 1
+    while not bound(hi) <= tail_tol:
+        if hi >= MAX_SERIES_ROWS:
+            raise AccuracyError(f"no tail bound of b_{phi.r:g}^{n} below {tail_tol:.3g} "
+                                f"within {MAX_SERIES_ROWS} rows under this weight")
+        lo, hi = hi, min(2 * hi, MAX_SERIES_ROWS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= tail_tol else (mid, hi)
+
+    def times(f: TruncSeq, g: TruncSeq, held: int) -> TruncSeq:
+        h = convolve(f, g, "direct")
+        return TruncSeq(h.lo, h.values[: max(0, hi + 1 - h.lo)])
+
+    return _binary_power(_blaschke_rows(phi.r, hi), n, times), bound(hi)
+
+
+def _binary_power(base: TruncSeq, e: int, times) -> TruncSeq:
+    """base^e for e >= 1 by binary powering.
+
+    ``times(f, g, j)`` forms the product f g, which base^e holds j times.
+    """
     result: TruncSeq | None = None
     acc = base
     while e:
         if e & 1:
-            result = acc if result is None else _l1_trim(convolve(result, acc), step_budget)
+            result = acc if result is None else times(result, acc, 1)
         e >>= 1
         if e:
-            acc = _l1_trim(convolve(acc, acc), step_budget)
+            acc = times(acc, acc, e)  # acc becomes the power that the result takes e times
     assert result is not None
     return result
 

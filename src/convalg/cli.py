@@ -215,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="weight base for case 2 (a > 1)")
     p.add_argument("--n", type=_parse_int_list, default="9,16,25,36,49",
                    help="comma-separated grid")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="relative error bound each ratio is certified to")
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_blowup)

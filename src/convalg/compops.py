@@ -6,12 +6,8 @@ powers phi^n.  This module builds truncated matrices, measures column
 norm ratios against several weights, runs the norm blow-up and
 distortion experiments, and checks the derivative chain rule.
 
-Truncation only discards coefficient mass, and ``op_norm_l2`` returns a
-lower bound of the truncated norm up to rounding.  Column ratios are not
-certified: a growing weight amplifies rounding noise in far rows, so
-``blowup_experiment(1, r=0.9, ns=[10], p=1, gamma=0.5)`` reports 1.4e11,
-a rounding-noise value, against a converged 53205.33 (ROADMAP.md item 2,
-certified tails).
+Truncation only discards mass, so ``op_norm_l2`` returns a lower bound of
+the truncated norm up to rounding; ``column_ratio`` certifies its ratio.
 """
 
 from __future__ import annotations
@@ -24,7 +20,8 @@ import numpy as np
 from . import weights as wt
 from .circlemaps import (Blaschke, CircleMap, Monomial, coeffs,
                          compose_transform, derivative_coeffs, inverse_map,
-                         power_coeffs, reflect_conj, _l1_trim, _unit_power)
+                         power_coeffs, power_l1_bound, reflect_conj, weighted_power,
+                         _l1_trim, _unit_power)
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
 from .seqalg import (TruncSeq, _RightMultiplier, convolve, delta,
                      formal_derivative, l1_diff, weighted_norm)
@@ -142,24 +139,29 @@ def build_matrix(phi: CircleMap, n_range: tuple[int, int],
 
 def column_ratio(phi: CircleMap, w: wt.Weight, p: float, n: int,
                  tol: float = 1e-10) -> float:
-    """||C_phi delta_n||_{p,w} / ||delta_n||_{p,w}, adaptively truncated.
+    """||C_phi delta_n||_{p,w} / ||delta_n||_{p,w}, certified to ``tol`` relatively.
 
-    The truncation tolerance is tightened a thousandfold per pass, for at
-    most three passes, until two successive weighted norms agree to 1e-9
-    relatively.  When no two passes agree, the third pass's value is
-    returned unconverged; under a fast-growing weight it can be rounding
-    noise from far rows (ROADMAP.md item 2, certified tails).
+    The column is built once by ``weighted_power`` with a bound E on its
+    weighted l1 error, hence on its ||.||_{p,w} error, and the ratio is
+    returned when E <= tol (||col||_{p,w} - E); else AccuracyError.
     """
-    prev = None
-    t = tol
-    for _ in range(3):
-        seq = power_coeffs(phi, n, t)
-        val = weighted_norm(seq, p, w) / w.eval(n)
-        if prev is not None and abs(val - prev) <= 1e-9 * max(1.0, abs(val)):
-            return float(val)
-        prev = val
-        t = max(t * 1e-3, 1e-15)
-    return float(prev)
+    return _column(phi, w, p, n, tol)[1]
+
+
+def _column(phi: CircleMap, w: wt.Weight, p: float, n: int, tol: float) -> tuple[TruncSeq, float]:
+    """The column phi^n of ``column_ratio`` and its certified ratio."""
+    if not (p >= 1.0 and 0.0 < tol < math.inf):
+        raise ParameterError("column ratios need p >= 1 and a positive finite tolerance, "
+                             f"got p = {p}, tol = {tol:g}")
+    # the budget is at most tol ||col||_{p,w} / 2: ||col||_{p,w} >= (min w) ||col||_p, and
+    # ||col||_p >= ||col||_2 = 1 for p <= 2, ||col||_p >= ||col||_inf >= 1 / ||col||_1 else
+    l1 = 1.0 if p <= 2.0 else power_l1_bound(phi, abs(n))
+    col, err = weighted_power(phi, n, w, tol * min(w.table or (1.0,)) / (2.0 * l1))
+    norm = weighted_norm(col, p, w)
+    if not err <= tol * (norm - err):
+        raise AccuracyError(f"column {n}: error bound {err:.3g} exceeds {tol:g} "
+                            f"of its norm {norm:.6g}")
+    return col, norm / w.eval(n)
 
 
 # ---------------------------------------------------------------------
@@ -215,16 +217,14 @@ def blowup_experiment(case: int, r: float, ns, p: float = 1.0,
     phi = Blaschke(r)
 
     def one(n: int) -> BlowupRow:
-        ratio = column_ratio(phi, w, p, n, tol)
+        col, ratio = _column(phi, w, p, n, tol)
         k_n = math.floor(alpha * n)
         if case == 1:
             model = math.exp((alpha ** gamma - 1.0) * n ** gamma) * n ** (-1.0 / 3.0)
         else:
             model = a ** ((alpha - 1.0) * n) * n ** (-1.0 / 3.0)
-        c_kn = abs(power_coeffs(phi, n, tol)[k_n])
-        lower = float(w.eval(k_n) * c_kn / w.eval(n))
-        return BlowupRow(n, float(ratio), float(model), int(k_n), lower,
-                         float(c_kn * n ** (1.0 / 3.0)))
+        c_kn = abs(col[k_n])
+        return BlowupRow(n, ratio, model, k_n, w.eval(k_n) * c_kn / w.eval(n), c_kn * n ** (1 / 3))
 
     return [one(n) for n in ns]
 

@@ -298,6 +298,24 @@ def recip_power_sum(w: Weight, q: float, upto: int = 4096) -> tuple[float, float
     return partial, tail
 
 
+def geometric_tail(w: Weight, x: float, K: int) -> float:
+    """An upper bound of sum_{k>K} w(k) x^k for 0 < x < 1 and K >= 0; inf when none is found.
+
+    For the built-in families on Z the ratio w(k+1)/w(k) does not grow
+    for k >= 1, so the terms beyond K fall at least as fast as a geometric
+    series of ratio q = x w(K+2)/w(K+1), and the sum is at most
+    w(K+1) x^(K+1) / (1 - q) when q < 1.
+    """
+    if w.group is not None or w.family == TABULATED:
+        raise ParameterError("geometric tails need a built-in family on Z")
+    w1, w2 = w.eval(K + 1), w.eval(K + 2)
+    q = x * w2 / w1
+    if not q < 1.0:  # also an overflowing weight, where q is inf or nan
+        return math.inf
+    # in logarithms, so that x^(K+1) cannot underflow beside a large w(K+1)
+    return math.exp(math.log(w1) + (K + 1) * math.log(x)) / (1.0 - q)
+
+
 @dataclass(frozen=True)
 class AlgebraConstantReport:
     """Best constant C with (w^-q * w^-q)(n) <= C w(n)^-q on the window."""

@@ -193,8 +193,8 @@ def test_blowup_case1_rows():
 
 def test_blowup_case2_rows_and_admissibility():
     rows = co.blowup_experiment(2, r=0.3, ns=[5, 10], p=1.0, a=2.0)
-    assert rows[0].ratio == pytest.approx(330.48191, rel=RATIO_REL_TOL)
-    assert rows[1].ratio == pytest.approx(13997.957, rel=RATIO_REL_TOL)
+    assert rows[0].ratio == pytest.approx(330.5030607, rel=RATIO_REL_TOL)
+    assert rows[1].ratio == pytest.approx(14001.65575, rel=RATIO_REL_TOL)
     with pytest.raises(AdmissibilityError):
         co.blowup_experiment(2, r=0.6, ns=[5], p=1.0, a=2.0)
     with pytest.raises(AdmissibilityError):
@@ -218,10 +218,40 @@ def recorded_calls(monkeypatch, name):
 
 
 def test_blowup_refuses_a_bad_grid_before_any_ratio(monkeypatch):
-    calls = recorded_calls(monkeypatch, "column_ratio")
+    calls = recorded_calls(monkeypatch, "_column")
     with pytest.raises(ParameterError):
         co.blowup_experiment(1, 0.5, [9, 16, 0], gamma=0.5)
     assert calls == []
+
+
+@pytest.mark.parametrize("p", [0.5, float("nan")])
+def test_blowup_refuses_a_bad_p_before_any_power(monkeypatch, p):
+    calls = recorded_calls(monkeypatch, "weighted_power")
+    with pytest.raises(ParameterError):
+        co.blowup_experiment(1, 0.5, [9, 16], p=p, gamma=0.5)
+    assert calls == []
+
+
+def test_blowup_reads_c_kn_from_the_one_column_build(monkeypatch):
+    calls = recorded_calls(monkeypatch, "weighted_power")
+    power_calls = recorded_calls(monkeypatch, "power_coeffs")
+    rows = co.blowup_experiment(2, r=0.3, ns=[5, 10], p=1.0, a=2.0)
+    assert [args[1] for args in calls] == [5, 10] and power_calls == []
+    col = cm.power_coeffs(cm.Blaschke(0.3), 10, 1e-13)
+    assert rows[1].cr_empirical == pytest.approx(abs(col[rows[1].k_n]) * 10 ** (1 / 3), rel=1e-9)
+
+
+def test_column_ratio_refuses_a_bad_p_or_tol():
+    for p, tol in ((0.5, 1e-10), (float("nan"), 1e-10), (1.0, 0.0), (1.0, float("nan"))):
+        with pytest.raises(ParameterError):
+            co.column_ratio(cm.Blaschke(0.5), wt.subexp(0.5), p, 5, tol)
+
+
+def test_column_ratio_is_even_in_n_under_symmetric_weights():
+    for w in (wt.polynomial(2.0), wt.subexp(0.5), wt.exppoly(1.5)):
+        for p in (1.0, 3.0):
+            assert co.column_ratio(cm.Blaschke(0.4), w, p, -12) == pytest.approx(
+                co.column_ratio(cm.Blaschke(0.4), w, p, 12), rel=1e-12)
 
 
 # ------------------------------------------------------------ operator norm

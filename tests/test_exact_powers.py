@@ -20,6 +20,8 @@ import pytest
 from convalg import circlemaps as cm
 from convalg import compops as co
 from convalg import seqalg as sa
+from convalg import weights as wt
+from convalg.errors import AccuracyError
 
 TOL = 1e-13  # truncation budget of the production route
 L1_GAP = 1e-12
@@ -69,3 +71,59 @@ def test_build_matrix_columns_match_the_exact_oracle(exact):
     for n, col in cols.items():
         got = sa.TruncSeq(mat.m_lo, mat.entries[:, n - mat.n_lo])
         assert sa.l1_diff(got, col) <= L1_GAP
+
+
+def test_power_coeffs_keeps_its_l1_budget():
+    # the error of one trim grows with the norms of the factors it is later multiplied
+    # by (||b_r^m||_1 reaches 10.8 at m = 64); the budgets are scaled for that
+    r, n = Fraction(1, 2), 64
+    exact = sa.TruncSeq(0, np.array([float(c) for c in exact_power(r, n, 330)]))
+    for tol in (1e-10, 1e-12):
+        got = cm.power_coeffs(cm.Blaschke(float(r)), n, tol)
+        assert got.lo >= 0 and got.hi <= 330
+        assert sa.l1_diff(got, exact) <= tol
+    assert sa.l1_norm(exact) <= cm.power_l1_bound(cm.Blaschke(0.5), n)
+
+
+# (r, n, weight, p, exact ratio ||b_r^n||_{p,w} / w(n) from all rows, or the error it raises)
+RATIOS = [
+    (Fraction(9, 10), 10, wt.subexp(0.5), 1.0, 53205.330442),
+    (Fraction(3, 10), 10, wt.exppoly(2.0), 1.0, 14001.65575),
+    (Fraction(3, 10), 25, wt.exppoly(2.0), 1.0, 1114322569),
+    (Fraction(1, 2), 500, wt.constant(), 2.0, 1.0),
+    (Fraction(1, 2), 10, wt.exppoly(2.0), 1.0, AccuracyError),  # a r = 1: not summable
+    (Fraction(3, 5), 5, wt.exppoly(2.0), 1.0, AccuracyError),   # a r > 1
+]
+
+
+@pytest.mark.parametrize("r, n, w, p, expected", RATIOS,
+                         ids=["case1-r9/10-n10", "case2-r3/10-n10", "case2-r3/10-n25",
+                              "unit-r1/2-n500", "case2-r1/2-refused", "case2-r3/5-refused"])
+def test_column_ratio_matches_the_exact_oracle_or_raises(r, n, w, p, expected):
+    phi = cm.Blaschke(float(r))
+    if expected is AccuracyError:
+        with pytest.raises(AccuracyError):
+            co.column_ratio(phi, w, p, n)
+        return
+    assert co.column_ratio(phi, w, p, n) == pytest.approx(expected, rel=1e-9)
+    if w.family != wt.CONSTANT:
+        # the rows the ratio reads are exact up to rounding
+        col, err = cm.weighted_power(phi, n, w, 1e-10)
+        rows = np.arange(col.lo, col.hi + 1)
+        exact = np.array([float(c) for c in exact_power(r, n, col.hi)])
+        assert col.lo == 0 and err <= 1e-10
+        gap = np.sum(w.eval_array(rows) * np.abs(col.values - exact))
+        assert gap <= 1e-12 * np.sum(w.eval_array(rows) * np.abs(exact))
+
+
+@pytest.mark.parametrize("r, n, w", [(Fraction(3, 10), 10, wt.exppoly(2.0)),
+                                     (Fraction(1, 2), 16, wt.subexp(0.5)),
+                                     (Fraction(1, 2), 16, wt.polynomial(2.0))],
+                         ids=["exppoly", "subexp", "polynomial"])
+def test_cauchy_tail_bound_holds_against_the_exact_oracle(r, n, w):
+    col, err = cm.weighted_power(cm.Blaschke(float(r)), n, w, 1e-10)
+    rows = 3 * col.hi
+    exact = exact_power(r, n, rows)
+    k = np.arange(col.hi + 1, rows + 1)
+    tail = np.sum(w.eval_array(k) * np.abs(np.array([float(c) for c in exact[col.hi + 1:]])))
+    assert 0.0 < tail <= err <= 1e-10
