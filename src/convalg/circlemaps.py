@@ -7,24 +7,24 @@ the circle, so reciprocals come from index-reflected complex conjugation
 of coefficient sequences.
 
 Coefficient routines return :class:`~convalg.seqalg.TruncSeq` objects
-with an l1 tail below the requested tolerance.  A Blaschke factor with
-real r has real coefficients, and they are stored and multiplied as
-float64; monomials and compositions stay complex128.  ``compose_transform``
-implements the sampling pipeline: evaluate the Laurent series of f after
-the map on a root-of-unity grid, inverse DFT, and double the grid until
-the result is l1-Cauchy.
+within the l1 distance of the exact ones that each routine states.  A
+Blaschke factor with real r has real coefficients, and they are stored and
+multiplied as float64; monomials and compositions stay complex128.
+``compose_transform`` implements the sampling pipeline: evaluate the
+Laurent series of f after the map on a root-of-unity grid, inverse DFT,
+and double the grid until the result is l1-Cauchy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
-from .seqalg import TruncSeq, convolve, delta, l1_diff, zero_seq
+from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, zero_seq
 from .weights import CONSTANT, TABULATED, Weight, geometric_tail
 
 MAX_LOG2_GRID = 20
@@ -229,6 +229,29 @@ def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
     n_mults = e.bit_length() - 1 + bin(e).count("1") - 1
     return _binary_power(base, e, lambda f, g, held:
                          _l1_trim(convolve(f, g), tol / (4.0 * n_mults * held * beta)))
+
+
+def running_powers(phi: CircleMap, top: int, tol: float = 1e-10) -> Iterator[TruncSeq]:
+    """Yield phi^0, ..., phi^top, each within beta (e^(0.26 tol) - 1) of the exact power in l1.
+
+    Monomial powers are exact.  A Blaschke power is the one before times
+    the base expansion (l1 tail e0 = tol / (100 (top + 1)), its spectrum
+    kept per FFT length), trimmed by at most s = tol / (4 top).  Each trim
+    is carried into every later power; by the expansion of ``power_coeffs``,
+    beta = ``power_l1_bound(phi, top)`` and n (e0 + s) <= 0.26 tol give the
+    bound, about 0.26 beta tol, up to rounding.
+    """
+    if isinstance(phi, Monomial):
+        for n in range(top + 1):
+            yield power_coeffs(phi, n)
+        return
+    times_base = _RightMultiplier(coeffs(phi, tol / (100.0 * (top + 1.0))))
+    step_budget = tol / (4.0 * max(1, top))
+    cur = delta(0)
+    yield cur
+    for _ in range(top):
+        cur = _l1_trim(times_base(cur), step_budget)
+        yield cur
 
 
 def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[TruncSeq, float]:

@@ -108,9 +108,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    config = {"a": args.a, "r": args.r, "N": args.N, "tol": args.tol}
-    reports = co.distortion_experiment(wt.polynomial(args.a), args.r, args.N,
-                                       col_tol=args.tol)
+    config = {"a": args.a, "r": args.r, "N": args.N}
+    reports = co.distortion_experiment(wt.polynomial(args.a), args.r, args.N)
     print(f"{'r':>8} {'norm_fwd':>12} {'norm_inv':>12} {'distortion':>12}")
     for rep in reports:
         print(f"{rep.r:>8.4g} {rep.norm_fwd:>12.6g} {rep.norm_inv:>12.6g} {rep.distortion:>12.6g}")
@@ -225,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=2.0, help="polynomial weight exponent")
     p.add_argument("--r", type=_parse_float_list, default="0.02,0.05,0.1,0.2")
     p.add_argument("--N", type=int, default=256, help="truncation half-width")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=_cmd_distortion)

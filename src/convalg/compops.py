@@ -6,8 +6,9 @@ powers phi^n.  This module builds truncated matrices, measures column
 norm ratios against several weights, runs the norm blow-up and
 distortion experiments, and checks the derivative chain rule.
 
-Truncation only discards mass, so ``op_norm_l2`` returns a lower bound of
-the truncated norm up to rounding; ``column_ratio`` certifies its ratio.
+Each matrix column is within a stated l1 distance of the exact power
+(``build_matrix``); ``op_norm_l2`` returns a lower bound of the norm of
+the computed matrix up to rounding; ``column_ratio`` certifies its ratio.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .circlemaps import (Blaschke, CircleMap, Monomial, coeffs,
-                         compose_transform, derivative_coeffs, inverse_map,
-                         power_coeffs, power_l1_bound, reflect_conj, weighted_power,
-                         _l1_trim, _unit_power)
+from .circlemaps import (Blaschke, CircleMap, compose_transform, derivative_coeffs,
+                         inverse_map, power_coeffs, power_l1_bound, running_powers,
+                         weighted_power)
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
-from .seqalg import (TruncSeq, _RightMultiplier, convolve, delta,
-                     formal_derivative, l1_diff, weighted_norm)
+from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, weighted_norm
 
 MAX_MATRIX_ENTRIES = 50_000_000
 
@@ -66,69 +65,46 @@ class OperatorMatrix:
     entries: np.ndarray  # shape (rows, cols); float64 when every column is real, else complex128
 
 
-def _power_columns(phi: CircleMap, n_lo: int, n_hi: int,
-                   tol: float) -> tuple[dict[int, TruncSeq], int, int]:
-    """Coefficients of phi^n for all n in [n_lo, n_hi], and their row span.
+def build_matrix(phi: CircleMap, n_range: tuple[int, int],
+                 tol: float = 1e-10) -> OperatorMatrix:
+    """Assemble the truncated matrix of C_phi over the given column range.
 
-    Returns the columns with the first and last row index of their union.
-    A monomial's span is known exactly before any column is built.
-    Positive Blaschke powers are built by running convolution against the
-    base expansion (one convolution per column, in real arithmetic, with
-    the base transformed once per FFT length); negative powers are the
-    conjugate reflections of the positive ones.  A :class:`SizeError`
-    is raised as soon as the row span of the columns built so far, times
-    the column count, exceeds ``MAX_MATRIX_ENTRIES``: the row span of the
-    finished matrix contains it, so the matrix would be refused anyway.
+    Column n >= 0 is phi^n from ``running_powers(phi, top, tol)``, top =
+    max |n|, so it is within beta (e^(0.26 tol) - 1), about 0.26 beta tol,
+    of the exact power in l1, beta = ``power_l1_bound(phi, top)``.  Column
+    -n is the conjugate reflection of column n (1/phi = conj(phi) on the
+    circle), with the same bound.  A :class:`SizeError` is raised as soon
+    as the row span of the columns built so far, times the column count,
+    exceeds ``MAX_MATRIX_ENTRIES``: the row span of the finished matrix
+    contains it, so the matrix would be refused anyway.
     """
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo > n_hi:
         raise ParameterError("empty column range")
     ncols = n_hi - n_lo + 1
-
-    def check_span(m_lo, m_hi) -> None:
-        if (m_hi - m_lo + 1) * ncols > MAX_MATRIX_ENTRIES:
-            raise SizeError(f"matrix of at least {m_hi - m_lo + 1}x{ncols} "
-                            "entries exceeds the size cap")
-
-    if isinstance(phi, Monomial):
-        m_lo, m_hi = sorted((phi.power * n_lo, phi.power * n_hi))
-        check_span(m_lo, m_hi)
-        cols = {n: delta(phi.power * n, _unit_power(phi.lam, n))
-                for n in range(n_lo, n_hi + 1)}
-        return cols, m_lo, m_hi
-    cols: dict[int, TruncSeq] = {0: delta(0)}
-    top = max(abs(n_lo), abs(n_hi))
-    m_lo, m_hi = (0, 0) if n_lo <= 0 <= n_hi else (math.inf, -math.inf)
-    base = coeffs(phi, tol / (100.0 * (top + 1.0)))
-    step_budget = tol / (4.0 * max(1, top))
-    times_base = _RightMultiplier(base)
-    cur = delta(0)
-    for n in range(1, top + 1):
-        cur = _l1_trim(times_base(cur), step_budget)
-        cols[n] = cur
+    powers: list[TruncSeq] = []
+    m_lo, m_hi = math.inf, -math.inf
+    for n, cur in enumerate(running_powers(phi, max(abs(n_lo), abs(n_hi)), tol)):
+        powers.append(cur)
         if cur.is_zero:
             continue
         if n_lo <= n <= n_hi:
             m_lo, m_hi = min(m_lo, cur.lo), max(m_hi, cur.hi)
         if n_lo <= -n <= n_hi:
             m_lo, m_hi = min(m_lo, -cur.hi), max(m_hi, -cur.lo)
-        if m_lo <= m_hi:
-            check_span(m_lo, m_hi)
-    for n in range(-1, n_lo - 1, -1):
-        cols[n] = reflect_conj(cols[-n])
-    return {n: cols[n] for n in range(n_lo, n_hi + 1)}, m_lo, m_hi
-
-
-def build_matrix(phi: CircleMap, n_range: tuple[int, int],
-                 tol: float = 1e-10) -> OperatorMatrix:
-    """Assemble the truncated matrix of C_phi over the given column range."""
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    cols, m_lo, m_hi = _power_columns(phi, n_lo, n_hi, tol)
-    real = not any(np.iscomplexobj(c.values) for c in cols.values() if not c.is_zero)
-    M = np.zeros((m_hi - m_lo + 1, n_hi - n_lo + 1),
-                 dtype=np.float64 if real else np.complex128)
-    for n, c in cols.items():
-        if not c.is_zero:
-            M[c.lo - m_lo: c.lo - m_lo + c.support_len, n - n_lo] = c.values
+        if (m_hi - m_lo + 1) * ncols > MAX_MATRIX_ENTRIES:
+            raise SizeError(f"matrix of at least {m_hi - m_lo + 1}x{ncols} "
+                            "entries exceeds the size cap")
+    real = not any(np.iscomplexobj(c.values) for c in powers)
+    M = np.zeros((m_hi - m_lo + 1, ncols), dtype=np.float64 if real else np.complex128)
+    for n in range(n_lo, n_hi + 1):
+        c = powers[abs(n)]
+        if c.is_zero:
+            continue
+        if n >= 0:
+            M[c.lo - m_lo: c.hi - m_lo + 1, n - n_lo] = c.values
+        else:
+            M[-c.hi - m_lo: -c.lo - m_lo + 1, n - n_lo] = np.conj(c.values[::-1])
     return OperatorMatrix(n_lo, n_hi, m_lo, m_hi, M)
 
 
@@ -236,12 +212,13 @@ def blowup_experiment(case: int, r: float, ns, p: float = 1.0,
 NORM_RESIDUAL_TOL = 1e-10
 
 
-def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int, col_tol: float = 1e-10) -> float:
+def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int) -> float:
     """Largest singular value of the weighted truncation of C_phi.
 
-    Columns are the powers phi^n for |n| <= N; the weighted matrix is
-    A = D_out M D_in^{-1} with diagonal weights on the output window (the
-    union of the column supports) and input window.
+    Columns are the powers phi^n for |n| <= N from ``build_matrix`` at its
+    default tolerance; the weighted matrix is A = D_out M D_in^{-1} with
+    diagonal weights on the output window (the union of the column
+    supports) and input window.
 
     When A is real, its row window is -m..m and A[-k, -n] = A[k, n]
     exactly (real Blaschke maps under any even weight), A commutes with
@@ -258,16 +235,16 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int, col_tol: float = 1e-10) -> 
     eigenvector v of the Gram matrix B^H B (dense symmetric eigen-solve)
     gives sigma = ||B v|| = ||A Q v|| with Q v a unit vector, so the
     returned value never exceeds ||A|| up to rounding: it is a lower
-    bound of the truncated norm.  The pair is checked by the residual
-    ||B^H u - sigma v|| with u = B v / sigma, which equals the residual
-    of the pair (P u, Q v) of A and so bounds the distance from sigma to
-    a singular value of A (Golub & Van Loan, ch. 8); an
-    :class:`AccuracyError` is raised when it exceeds
+    bound of the norm of the computed matrix, not of the exact truncation.
+    The pair is checked by the residual ||B^H u - sigma v|| with u = B v /
+    sigma, which equals the residual of the pair (P u, Q v) of A and so
+    bounds the distance from sigma to a singular value of A (Golub & Van
+    Loan, ch. 8); an :class:`AccuracyError` is raised when it exceeds
     ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix has norm 0.
     """
     if N < 0:
         raise ParameterError("N must be nonnegative")
-    mat = build_matrix(phi, (-N, N), col_tol)
+    mat = build_matrix(phi, (-N, N))
     rows_idx = np.arange(mat.m_lo, mat.m_hi + 1)
     cols_idx = np.arange(-N, N + 1)
     w_out = wt.check_range(w.eval_array(rows_idx), rows_idx, "on the output window")
@@ -329,8 +306,7 @@ class DistortionReport:
     nonstandard_witness: bool
 
 
-def distortion_experiment(w: wt.Weight, r_list, N: int,
-                          col_tol: float = 1e-10) -> list[DistortionReport]:
+def distortion_experiment(w: wt.Weight, r_list, N: int) -> list[DistortionReport]:
     """Distortion ||C_phi|| * ||C_phi^{-1}|| of the Blaschke isomorphisms.
 
     Requires the polynomial weight max(1, |n|^a) with integer a > 1.
@@ -349,12 +325,12 @@ def distortion_experiment(w: wt.Weight, r_list, N: int,
 
     def one(r: float) -> DistortionReport:
         phi = Blaschke(r)
-        nf = op_norm_l2(phi, w, N, col_tol=col_tol)
-        ni = op_norm_l2(inverse_map(phi), w, N, col_tol=col_tol)
+        nf = op_norm_l2(phi, w, N)
+        ni = op_norm_l2(inverse_map(phi), w, N)
         dist = nf * ni
         if dist < 1.0 - 1e-9:
             raise AccuracyError(f"distortion {dist} fell below 1 at r = {r}")
-        col1 = power_coeffs(phi, 1, col_tol)
+        col1 = power_coeffs(phi, 1)
         witness = int(np.sum(np.abs(col1.values) > 1e-12)) >= 2 if r > 0 else False
         return DistortionReport(
             r=r, N=int(N), norm_fwd=nf, norm_inv=ni, distortion=dist,

@@ -10,6 +10,9 @@ The member search matches text, not types, so a member whose name another
 object shares is hidden: ``.tol`` of ``groupalg.HomReport`` would count as
 used because ``perfbench`` reads ``.tol`` of a ``ChainRuleReport``.  Such
 a member has to be found by reading.
+
+No core module imports an underscore name from another one, apart from
+the pairs in ``ALLOWED_PRIVATE_IMPORTS``, each with its reason.
 """
 
 import ast
@@ -77,6 +80,30 @@ def _unused_names() -> tuple[set[str], set[str]]:
         else:
             unused.add(name)
     return unused, whole_needed
+
+
+# private names one core module may take from another, with the reason
+ALLOWED_PRIVATE_IMPORTS = {
+    ("circlemaps", "seqalg._RightMultiplier"):
+        "running_powers multiplies by one base and keeps its spectrum per FFT length",
+}
+
+
+def _private_imports() -> set[tuple[str, str]]:
+    """(module, source.name) for each underscore name a core module imports from a sibling."""
+    found = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update((module, f"{node.module}.{alias.name}")
+                             for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+def test_core_modules_take_no_private_name_from_each_other():
+    found = _private_imports()
+    assert not found - ALLOWED_PRIVATE_IMPORTS.keys(), "move these behind a public name"
+    assert not ALLOWED_PRIVATE_IMPORTS.keys() - found, "these are no longer imported; drop them"
 
 
 def test_public_api_is_reached_outside_the_tests():

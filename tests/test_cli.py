@@ -182,7 +182,7 @@ def test_weights_check_refuses_values_out_of_range(capsys, argv):
     ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "0"],
     ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "-1"],
     ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9", "--tol", "nan"],
-    ["distortion", "--r", "0.1", "--N", "16", "--tol", "0"],
+    ["distortion", "--r", "0.1", "--N", "-1"],
     ["chain-rule", "--tol", "0"],
     ["chain-rule", "--tol", "-1"],
     ["chain-rule", "--tol", "nan"],
@@ -204,6 +204,7 @@ def test_usage_error_exits_two(capsys):
     for argv in (["blowup", "--case", "7", "--r", "0.5"],
                  ["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", "9,x"],
                  ["distortion", "--r", "0.1,abc"],
+                 ["distortion", "--r", "0.1", "--N", "16", "--tol", "0"],  # no --tol option
                  ["group-scan", "--norm-n", "3,x"]):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)

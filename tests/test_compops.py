@@ -126,6 +126,25 @@ def test_build_matrix_columns_equal_power_coeffs(r):
         assert sa.l1_diff(col, cm.power_coeffs(phi, n, tol)) <= 1e-12
 
 
+@pytest.mark.parametrize("phi, n_range", [
+    (cm.Blaschke(0.5), (-40, 40)),
+    (cm.Blaschke(-0.7), (-12, -3)),  # no column n >= 0: the reflections of running powers
+    (cm.Monomial(np.exp(0.3j), 1), (-40, 40)),
+], ids=["b0.5", "b-0.7-negative-only", "monomial"])
+def test_negative_columns_are_exact_conjugate_reflections(phi, n_range):
+    # 1/phi = conj(phi) on the circle: column -n holds conj(phi^n) on rows flipped
+    mat = co.build_matrix(phi, n_range)
+    powers = list(cm.running_powers(phi, max(map(abs, n_range)), 1e-10))
+    for n in range(max(1, -mat.n_hi), -mat.n_lo + 1):
+        p, expected = powers[n], np.zeros(mat.m_hi - mat.m_lo + 1, dtype=mat.entries.dtype)
+        expected[-p.hi - mat.m_lo: -p.lo - mat.m_lo + 1] = np.conj(p.values[::-1])
+        assert np.array_equal(mat.entries[:, -n - mat.n_lo], expected)
+        if n <= mat.n_hi:
+            assert mat.m_lo == -mat.m_hi
+            assert np.array_equal(mat.entries[:, -n - mat.n_lo],
+                                  np.conj(mat.entries[::-1, n - mat.n_lo]))
+
+
 def test_power_columns_transform_the_base_once_per_fft_length(monkeypatch):
     calls = []
     dft = sa._dft

@@ -85,6 +85,21 @@ def test_power_coeffs_keeps_its_l1_budget():
     assert sa.l1_norm(exact) <= cm.power_l1_bound(cm.Blaschke(0.5), n)
 
 
+def test_build_matrix_columns_keep_the_running_product_bound():
+    # a trim of one running power is carried into every later one; the columns stay
+    # within beta(top) (e^(0.26 tol) - 1) of the exact powers, as build_matrix states
+    r, N, tol = Fraction(1, 2), 64, 1e-10
+    phi = cm.Blaschke(float(r))
+    mat = co.build_matrix(phi, (-N, N), tol)
+    bound = cm.power_l1_bound(phi, N) * np.expm1(0.26 * tol)
+    for n in (16, 64):
+        got = sa.TruncSeq(mat.m_lo, mat.entries[:, n - mat.n_lo])
+        assert got.lo >= 0
+        # 60 rows past the matrix hold the exact tail down to below 1e-20
+        exact = sa.TruncSeq(0, np.array([float(c) for c in exact_power(r, n, mat.m_hi + 60)]))
+        assert sa.l1_diff(got, exact) <= bound
+
+
 # (r, n, weight, p, exact ratio ||b_r^n||_{p,w} / w(n) from all rows, or the error it raises)
 RATIOS = [
     (Fraction(9, 10), 10, wt.subexp(0.5), 1.0, 53205.330442),
