@@ -353,7 +353,8 @@ def compose_transform(f: TruncSeq, phi: CircleMap, cauchy_tol: float = 1e-9) -> 
 
     Samples on M-th roots of unity and doubles M until two successive
     grids agree within ``cauchy_tol`` in l1.  Raises
-    :class:`AccuracyError` when the 2^20-point cap is hit first, and
+    :class:`AccuracyError` when the 2^20-point cap is hit first (before any
+    grid when the start grid cannot be doubled), and
     :class:`ParameterError` before any grid for a tolerance that is not
     positive and finite.
     """
@@ -363,15 +364,16 @@ def compose_transform(f: TruncSeq, phi: CircleMap, cauchy_tol: float = 1e-9) -> 
     if f.is_zero:
         return f
     M = max(128, 1 << (4 * f.support_len - 1).bit_length())
-    prev = _compose_once(f, phi, M)
     diff = math.inf
-    while 2 * M <= (1 << MAX_LOG2_GRID):
-        M *= 2
-        cur = _compose_once(f, phi, M)
-        diff = l1_diff(cur, prev)
-        if diff < cauchy_tol:
-            return _l1_trim(cur, cauchy_tol / 100.0)
-        prev = cur
+    if 2 * M <= (1 << MAX_LOG2_GRID):  # a start grid that cannot be doubled is never sampled
+        prev = _compose_once(f, phi, M)
+        while 2 * M <= (1 << MAX_LOG2_GRID):
+            M *= 2
+            cur = _compose_once(f, phi, M)
+            diff = l1_diff(cur, prev)
+            if diff < cauchy_tol:
+                return _l1_trim(cur, cauchy_tol / 100.0)
+            prev = cur
     raise AccuracyError(
         f"composition did not become l1-Cauchy below {cauchy_tol:g} "
         f"by M = 2^{MAX_LOG2_GRID} (last difference {diff:g})")

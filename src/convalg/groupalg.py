@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -343,14 +343,6 @@ class AutomorphismScan:
     max_isometry_defect: float
     nonstandard_example_sigma: tuple[int, ...] | None
     nonstandard_example: np.ndarray | None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.nonstandard_example is not None:
-            d["nonstandard_example_sigma"] = list(self.nonstandard_example_sigma)
-            T = self.nonstandard_example
-            d["nonstandard_example"] = np.stack([T.real, T.imag], axis=-1).tolist()
-        return d
 
 
 def enumerate_l2_automorphisms(n: int) -> AutomorphismScan:

@@ -24,12 +24,13 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, RangeError
+from .errors import DomainError, ParameterError, RangeError, SizeError
 from .groupalg import builtin_group
 
 OVERFLOW_LIMIT = 1e300
 SUBMULT_REL_TOL = 1e-12  # relative excess the submultiplicativity verdict allows
 _PRODUCT_LIMIT = 1e306  # w(x) w(y) cap: 1e6 * OVERFLOW_LIMIT, well below the float maximum
+MAX_WINDOW_PAIRS = 4_000_000  # (2W+1)^2 index pairs a window scan may touch: W <= 999
 
 CONSTANT = "constant"
 POLYNOMIAL = "polynomial"
@@ -232,9 +233,7 @@ def check_submultiplicative(w: Weight, window: int | None = None) -> SubmultRepo
         prods = G.table  # (x, y) -> xy
         lhs = vals[prods]
     else:
-        if window is None or window < 1:
-            raise ParameterError("an integer window >= 1 is required on Z")
-        xs = np.arange(-window, window + 1)
+        xs = _window_indices(window)
         vals = w.eval_array(xs)
         prods = xs[:, None] + xs[None, :]
         lhs = w.eval_array(prods)
@@ -347,9 +346,7 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
         ratios = conv / vals
         n_star = int(np.argmax(ratios))
         return AlgebraConstantReport(float(ratios[n_star]), n_star, q, 0.0)
-    if window < 1:
-        raise ParameterError("window must be >= 1")
-    xs = np.arange(-window, window + 1)
+    xs = _window_indices(window)
     u = _recip_powers(w, xs, q)
     full = np.convolve(u, u)  # index n runs over [-2*window, 2*window]
     center = full[window: 3 * window + 1]  # restrict to |n| <= window
@@ -361,6 +358,16 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
         partial, t = recip_power_sum(w, q, upto=max(window, 256))
         tail = 4.0 * (partial + t)
     return AlgebraConstantReport(float(ratios[k]), int(xs[k]), q, tail)
+
+
+def _window_indices(window: int | None) -> np.ndarray:
+    """-window..window; refused before any weight is read when its pairs exceed the cap."""
+    if window is None or window < 1:
+        raise ParameterError("an integer window >= 1 is required on Z")
+    if (2 * window + 1) ** 2 > MAX_WINDOW_PAIRS:
+        raise SizeError(f"window {window} spans {(2 * window + 1) ** 2} index pairs, "
+                        f"above the cap of {MAX_WINDOW_PAIRS}")
+    return np.arange(-window, window + 1)
 
 
 def _recip_powers(w: Weight, xs: np.ndarray, q: float) -> np.ndarray:

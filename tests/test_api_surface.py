@@ -31,7 +31,7 @@ ALLOWED = {
 
 # reports the CLI writes whole, through dataclasses.fields/asdict: each
 # field is a report column, also one that no code reads by name
-WRITTEN_WHOLE = {"compops.BlowupRow"}
+WRITTEN_WHOLE = {"compops.BlowupRow", "groupalg.AutomorphismScan"}
 
 
 def _public(name: str) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 from convalg import circlemaps as cm
 from convalg import seqalg as sa
-from convalg.errors import ParameterError
+from convalg.errors import AccuracyError, ParameterError
 
 SAMPLE_TOL = 1e-10
 M_ORACLE = 4096
@@ -173,6 +173,17 @@ def test_compose_transform_refuses_a_bad_tolerance_before_any_grid(monkeypatch, 
     monkeypatch.setattr(cm, "_compose_once", no_grid)
     with pytest.raises(ParameterError, match="Cauchy tolerance"):
         cm.compose_transform(sa.delta(3), cm.Blaschke(0.5), cauchy_tol=cauchy_tol)
+
+
+def test_compose_transform_refuses_an_undoublable_start_grid_before_any_grid(monkeypatch):
+    # 41 terms start on a 256-point grid, which a 2^8-point cap cannot double
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(cm, "_compose_once", no_grid)
+    monkeypatch.setattr(cm, "MAX_LOG2_GRID", 8)
+    f = sa.TruncSeq(-20, np.ones(41))
+    with pytest.raises(AccuracyError, match="last difference inf"):
+        cm.compose_transform(f, cm.Blaschke(0.5))
 
 
 def test_compose_with_identity_map_is_identity():

@@ -1,11 +1,12 @@
 """Command-line driver: exit codes, report files, determinism."""
 
+import argparse
 import json
 
 import pytest
 
 from convalg import __version__, checks, groupalg
-from convalg.cli import main
+from convalg.cli import _build_parser, main
 from convalg.errors import SizeError
 
 
@@ -191,6 +192,75 @@ def test_invalid_sizes_and_tolerances_exit_one(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
+def test_weights_check_refuses_a_window_above_the_cap(capsys):
+    # refused before the (2W+1)^2 pair table, which would take terabytes
+    assert main(["weights-check", "--weight", '{"family":"polynomial","a":2}',
+                 "--window", "1000000", "--p", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeError: ") and err.count("\n") == 1
+
+
+# one tiny run per subcommand; verify's checks are stubbed out
+TINY_RUNS = {
+    "verify": ["--suite", "seqalg"],
+    "blowup": ["--case", "1", "--gamma", "0.5", "--r", "0.5", "--p", "1", "--n", "9"],
+    "distortion": ["--r", "0.05", "--N", "8", "--format", "json"],
+    "group-scan": ["--n", "3", "--norm-n", "3"],
+    "weights-check": ["--weight", '{"family":"constant"}', "--window", "5"],
+    "chain-rule": ["--count", "2", "--support", "3"],
+}
+
+
+def _subparsers() -> dict:
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_option_reaches_the_report(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(checks, "CHECKS", [("seqalg", "stub", lambda: "stub")])
+    subparsers = _subparsers()
+    assert TINY_RUNS.keys() == subparsers.keys()
+    for command, argv in TINY_RUNS.items():
+        out_file = tmp_path / f"{command}.report"
+        assert main([command, *argv, "--out", str(out_file)]) == 0, command
+        text = out_file.read_text()
+        if text.startswith("# config: "):
+            config = json.loads(text.splitlines()[0][len("# config: "):])
+            assert config.pop("version") == __version__
+        else:
+            config = json.loads(text)["config"]
+        options = {a.dest for a in subparsers[command]._actions} - {"help", "out", "format"}
+        assert config.keys() == options, command
+        stdout = capsys.readouterr().out
+        assert [line for line in stdout.splitlines() if line.startswith("wrote ")] == \
+            [f"wrote {'csv' if command == 'blowup' else 'json'} report to {out_file}"], command
+
+
+def test_out_in_a_missing_directory_is_refused_before_the_run(monkeypatch, tmp_path, capsys):
+    def no_run(*args):
+        raise AssertionError("the checks ran before --out was checked")
+
+    monkeypatch.setattr(checks, "run", no_run)
+    out_file = tmp_path / "missing" / "verify.json"
+    assert main(["verify", "--suite", "weights", "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
+def test_a_failing_write_is_one_error_line(tmp_path, capsys):
+    # the directory exists, but --out names the directory itself
+    assert main(["chain-rule", "--count", "2", "--support", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1
+
+
+def test_a_failed_run_keeps_an_earlier_report(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    out_file.write_text("earlier report\n")
+    assert main(["weights-check", "--weight", "{", "--out", str(out_file)]) == 1
+    assert out_file.read_text() == "earlier report\n"
 
 
 def test_chain_rule_pass_and_fail(capsys):

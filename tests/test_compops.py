@@ -145,7 +145,7 @@ def test_negative_columns_are_exact_conjugate_reflections(phi, n_range):
                                   np.conj(mat.entries[::-1, n - mat.n_lo]))
 
 
-def test_power_columns_transform_the_base_once_per_fft_length(monkeypatch):
+def test_running_product_transforms_its_base_once_per_fft_length(monkeypatch):
     calls = []
     dft = sa._dft
     monkeypatch.setattr(sa, "_dft", lambda *args: calls.append(args) or dft(*args))
@@ -156,7 +156,7 @@ def test_power_columns_transform_the_base_once_per_fft_length(monkeypatch):
     assert base_lengths == sorted(set(nfft for _, nfft, _ in calls))
 
 
-def test_monomial_entry_cap_uses_the_exact_span(monkeypatch):
+def test_monomial_columns_fill_their_rows_under_the_entry_cap(monkeypatch):
     # z -> lam z^-3 on columns 2..9 fills rows -27..-6, one entry a column,
     # and row 0 stays out because column 0 is not requested
     lam = np.exp(0.3j)

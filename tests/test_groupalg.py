@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_enumerate_z4_census():
     assert scan.max_isometry_defect < 1e-10
     assert scan.nonstandard_example is not None
     assert not ga.affine_mask(np.array([scan.nonstandard_example_sigma]), 4)[0]
-    d = scan.to_dict()
+    d = asdict(scan)
     assert d["n"] == 4 and d["total"] == 24
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convalg import weights as wt
-from convalg.errors import ParameterError, RangeError
+from convalg.errors import ParameterError, RangeError, SizeError
 from convalg import groupalg as ga
 
 EXACT = 1e-12
@@ -136,6 +136,21 @@ def test_group_weight_scan_uses_group_table():
 def test_window_required_on_integers():
     with pytest.raises(ParameterError):
         wt.check_submultiplicative(wt.polynomial(2.0))
+
+
+def test_window_cap_refuses_before_any_weight_is_read(monkeypatch):
+    monkeypatch.setattr(wt, "MAX_WINDOW_PAIRS", 25)  # windows up to 2: 5^2 pairs
+    w = wt.polynomial(2.0)
+    assert wt.check_submultiplicative(w, window=2).max_ratio == 4.0
+    assert wt.algebra_constant(w, 2.0, 2).constant > 1.0
+
+    def no_eval(*args):
+        raise AssertionError("a weight was evaluated")
+    monkeypatch.setattr(wt.Weight, "eval_array", no_eval)
+    with pytest.raises(SizeError, match="above the cap of 25"):
+        wt.check_submultiplicative(w, window=3)
+    with pytest.raises(SizeError, match="above the cap of 25"):
+        wt.algebra_constant(w, 2.0, 3)
 
 
 # -------------------------------------------------- reciprocal power sums
