@@ -24,7 +24,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
-from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, zero_seq
+from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, l1_trimmed, zero_seq
 from .weights import CONSTANT, TABULATED, Weight, geometric_tail
 
 MAX_LOG2_GRID = 20
@@ -153,21 +153,6 @@ def reflect_conj(f: TruncSeq) -> TruncSeq:
 # ---------------------------------------------------------------------
 
 
-def _l1_trim(f: TruncSeq, budget: float) -> TruncSeq:
-    """Drop end coefficients whose total l1 mass stays below budget."""
-    if f.is_zero or budget <= 0.0:
-        return f
-    mags = np.abs(f.values)
-    half = budget / 2.0
-    left = int(np.searchsorted(np.cumsum(mags), half, side="right"))
-    right = int(np.searchsorted(np.cumsum(mags[::-1]), half, side="right"))
-    if left + right >= len(mags):
-        return TruncSeq(0, f.values[:0])
-    if left == 0 and right == 0:
-        return f
-    return TruncSeq(f.lo + left, f.values[left: len(mags) - right])
-
-
 def weighted_power(phi: CircleMap, n: int, w: Weight, budget: float) -> tuple[TruncSeq, float]:
     """phi^n and a bound E <= ``budget`` of its error in the w-weighted l1 norm.
 
@@ -228,7 +213,7 @@ def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
         base = reflect_conj(base)
     n_mults = e.bit_length() - 1 + bin(e).count("1") - 1
     return _binary_power(base, e, lambda f, g, held:
-                         _l1_trim(convolve(f, g), tol / (4.0 * n_mults * held * beta)))
+                         convolve(f, g, budget=tol / (4.0 * n_mults * held * beta)))
 
 
 def running_powers(phi: CircleMap, top: int, tol: float = 1e-10) -> Iterator[TruncSeq]:
@@ -250,7 +235,7 @@ def running_powers(phi: CircleMap, top: int, tol: float = 1e-10) -> Iterator[Tru
     cur = delta(0)
     yield cur
     for _ in range(top):
-        cur = _l1_trim(times_base(cur), step_budget)
+        cur = times_base(cur, budget=step_budget)
         yield cur
 
 
@@ -372,7 +357,7 @@ def compose_transform(f: TruncSeq, phi: CircleMap, cauchy_tol: float = 1e-9) -> 
             cur = _compose_once(f, phi, M)
             diff = l1_diff(cur, prev)
             if diff < cauchy_tol:
-                return _l1_trim(cur, cauchy_tol / 100.0)
+                return l1_trimmed(cur.lo, cur.values, cauchy_tol / 100.0)
             prev = cur
     raise AccuracyError(
         f"composition did not become l1-Cauchy below {cauchy_tol:g} "

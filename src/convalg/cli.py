@@ -93,9 +93,12 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _comma_list(kind):
-    """argparse type: comma-separated values of ``kind``."""
+    """argparse type: one or more comma-separated values of ``kind``."""
     def parse(text: str) -> list:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
     parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in its error
     return parse
 
@@ -121,12 +124,13 @@ def _cmd_distortion(args) -> tuple[int, dict]:
 def _cmd_group_scan(args) -> tuple[int, dict]:
     for m in (args.n, *args.norm_n):
         ga.check_scan_order(m)
+    # the norm scans refuse a NaN threshold, so they run before the census
+    norm_reports = [ga.small_norm_scan(m, threshold=args.threshold) for m in args.norm_n]
     scan = ga.enumerate_l2_automorphisms(args.n)
     print(f"Z_{args.n}: {scan.total} dual-permutation automorphisms, "
           f"{scan.standard_count} standard (affine), "
           f"hom defect {scan.max_hom_defect:.2e}, "
           f"isometry defect {scan.max_isometry_defect:.2e}")
-    norm_reports = [ga.small_norm_scan(m, threshold=args.threshold) for m in args.norm_n]
     for rep in norm_reports:
         label = "none" if rep.min_nonstandard_norm is None \
             else f"{rep.min_nonstandard_norm:.5f}"
@@ -137,6 +141,8 @@ def _cmd_group_scan(args) -> tuple[int, dict]:
 
 
 def _cmd_weights_check(args) -> tuple[int, dict]:
+    if not args.p >= 1.0:
+        raise ParameterError(f"the norm exponent must satisfy p >= 1, got {args.p}")
     text = args.weight
     try:
         if text.startswith("@"):

@@ -388,9 +388,11 @@ def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:
     (affine) automorphisms are phased permutations of the group domain
     and have norm 1; the scan reports the smallest nonstandard norm and
     whether every automorphism with norm below the threshold is standard.
-    All n! permutations are scanned.
+    All n! permutations are scanned; a NaN threshold is refused first.
     """
     check_scan_order(n)
+    if math.isnan(threshold):
+        raise ParameterError("the norm threshold must be a number, got nan")
     min_nonstd, max_std = math.inf, 0.0
     for _, T, affine in _dual_permutation_blocks(n):
         norms = np.abs(T).sum(axis=1).max(axis=1)

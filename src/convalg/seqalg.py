@@ -5,9 +5,10 @@ exact zeros trimmed from both ends; the empty window is the zero
 sequence.  Real coefficients are stored as float64 and complex ones as
 complex128, and convolution keeps real data real (a real FFT when both
 factors are real), so the imaginary parts of real sequences stay exactly
-zero.  Convolution, weighted p-norms, translation, the formal
-derivative/antiderivative pair and sampling of the associated Laurent
-series at roots of unity live here.
+zero.  A product may carry an optional l1 budget, spent on its end
+coefficients before the product is stored.  Convolution, weighted
+p-norms, translation, the formal derivative/antiderivative pair and
+sampling of the associated Laurent series at roots of unity live here.
 """
 
 from __future__ import annotations
@@ -119,15 +120,29 @@ def l1_diff(f: TruncSeq, g: TruncSeq) -> float:
 # ---------------------------------------------------------------------
 
 
-def convolve(f: TruncSeq, g: TruncSeq, method: str = "auto") -> TruncSeq:
-    """Convolution sum h(n) = sum_k f(k) g(n-k).
+def l1_trimmed(lo: int, values: np.ndarray, budget: float) -> TruncSeq:
+    """``TruncSeq(lo, values)`` less end coefficients of l1 mass <= budget / 2 at each end."""
+    if budget <= 0.0:
+        return TruncSeq(lo, values)
+    mags = np.abs(values)
+    left = int(np.searchsorted(np.cumsum(mags), budget / 2.0, side="right"))
+    right = int(np.searchsorted(np.cumsum(mags[::-1]), budget / 2.0, side="right"))
+    return TruncSeq(lo + left, values[left: len(mags) - right])
+
+
+def convolve(f: TruncSeq, g: TruncSeq, method: str = "auto", budget: float = 0.0) -> TruncSeq:
+    """Convolution sum h(n) = sum_k f(k) g(n-k), less the ends ``l1_trimmed`` drops at ``budget``.
 
     ``method`` is "direct" (quadratic sum), "fft" (zero-padded DFT, a
     real one when both factors are real) or "auto"; the two explicit
     routes agree within 1e-9 absolutely and the direct route is exact on
-    integer inputs.  ``convolve(f, f)`` transforms f once.
+    integer inputs.  ``convolve(f, f)`` transforms f once.  The l1 budget
+    (default 0: no cut) is spent on the raw product before it is stored;
+    one that is not >= 0 raises :class:`ParameterError` before any work.
     """
-    return _RightMultiplier(g)(f, method)
+    if not budget >= 0.0:
+        raise ParameterError(f"an l1 budget must be >= 0, got {budget}")
+    return _RightMultiplier(g)(f, method, budget)
 
 
 class _RightMultiplier:
@@ -149,7 +164,7 @@ class _RightMultiplier:
             self._key, self._spectrum = (nfft, real), _dft(self.g.values, nfft, real)
         return self._spectrum
 
-    def __call__(self, f: TruncSeq, method: str = "auto") -> TruncSeq:
+    def __call__(self, f: TruncSeq, method: str = "auto", budget: float = 0.0) -> TruncSeq:
         g = self.g
         if f.is_zero or g.is_zero:
             return TruncSeq(0, np.zeros(0, dtype=np.result_type(f.values, g.values)))
@@ -169,7 +184,7 @@ class _RightMultiplier:
             out = (np.fft.irfft(F * G, nfft) if real else np.fft.ifft(F * G))[:out_len]
         else:
             raise ParameterError(f"unknown convolution method {method!r}")
-        return TruncSeq(f.lo + g.lo, out)
+        return l1_trimmed(f.lo + g.lo, out, budget)
 
 
 def _dft(values: np.ndarray, nfft: int, real: bool) -> np.ndarray:

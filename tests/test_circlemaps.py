@@ -88,14 +88,14 @@ def test_real_coefficients_are_float64_and_monomials_complex():
     phi = cm.Blaschke(-0.6)
     for seq in (cm.coeffs(phi), cm.coeffs(cm.Blaschke(0.0)), cm.derivative_coeffs(phi),
                 cm.power_coeffs(phi, 5), cm.power_coeffs(phi, -5), cm.power_coeffs(phi, 0),
-                cm.reflect_conj(cm.coeffs(phi)), cm._l1_trim(cm.coeffs(phi), 1e-3),
-                cm._l1_trim(cm.coeffs(phi), 10.0)):
+                cm.reflect_conj(cm.coeffs(phi)), sa.l1_trimmed(0, cm.coeffs(phi).values, 1e-3),
+                sa.l1_trimmed(0, cm.coeffs(phi).values, 10.0)):
         assert seq.values.dtype == np.float64
     for seq in (cm.coeffs(cm.Monomial(1.0, 2)), cm.derivative_coeffs(cm.Monomial(-1.0, 2)),
                 cm.power_coeffs(cm.Monomial(1.0, 1), 0), cm.power_coeffs(cm.Monomial(1.0, 1), 3),
                 cm.compose_transform(sa.delta(2), phi)):
         assert seq.values.dtype == np.complex128
-    assert cm._l1_trim(cm.coeffs(phi), 10.0).is_zero
+    assert sa.l1_trimmed(0, cm.coeffs(phi).values, 10.0).is_zero
 
 
 def test_monomial_coefficients_are_a_single_delta():
@@ -161,6 +161,18 @@ def test_negative_monomial_power():
     lam = np.exp(0.7j)
     pc = cm.power_coeffs(cm.Monomial(lam, 1), -4)
     assert pc[-4] == pytest.approx(lam ** -4, rel=1e-12)
+
+
+def test_each_trimmed_product_is_stored_once(monkeypatch):
+    built = []
+    post_init = sa.TruncSeq.__post_init__
+    monkeypatch.setattr(sa.TruncSeq, "__post_init__", lambda self: (built.append(1), post_init(self)))
+    phi = cm.Blaschke(0.5)
+    assert len(list(cm.running_powers(phi, 50))) == 51
+    assert len(built) == 52  # the base, phi^0 and one per product
+    built.clear()
+    cm.power_coeffs(phi, 500)
+    assert len(built) == 14  # the base and 13 products
 
 
 # -------------------------------------------------------------- composition

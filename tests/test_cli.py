@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from convalg import __version__, checks, groupalg
+from convalg import __version__, checks, groupalg, weights
 from convalg.cli import _build_parser, main
 from convalg.errors import SizeError
 
@@ -280,6 +280,45 @@ def test_usage_error_exits_two(capsys):
             main(argv)
         assert exc_info.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err
+
+
+def test_an_empty_grid_is_a_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "report"
+    for argv in (["blowup", "--case", "1", "--gamma", "0.5", "--r", "0.5", "--n", ""],
+                 ["distortion", "--r", ""],
+                 ["distortion", "--r", " , "],
+                 ["group-scan", "--norm-n", ""]):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--out", str(out_file)])
+        assert exc_info.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and "expected at least one value" in err
+        assert not out_file.exists()
+
+
+def test_group_scan_refuses_a_nan_threshold_before_the_census(monkeypatch, capsys):
+    def no_census(n):
+        raise AssertionError("the census ran")
+    monkeypatch.setattr(groupalg, "enumerate_l2_automorphisms", no_census)
+    assert main(["group-scan", "--n", "4", "--norm-n", "4", "--threshold", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["nan", "0.5", "0.999", "-inf"])
+def test_weights_check_refuses_an_exponent_below_one_before_the_scan(monkeypatch, capsys, p):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+    monkeypatch.setattr(weights, "check_submultiplicative", no_scan)
+    assert main(["weights-check", "--weight", '{"family":"polynomial","a":2}', f"--p={p}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
+def test_weights_check_at_p_one_scans_submultiplicativity_only(capsys):
+    assert main(["weights-check", "--weight", '{"family":"polynomial","a":2}', "--p", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("submultiplicative: ") and out.count("\n") == 1
 
 
 def test_version_flag(capsys):

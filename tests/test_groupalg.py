@@ -335,6 +335,14 @@ def test_small_norm_scan_size_cap():
         ga.small_norm_scan(10)
 
 
+def test_small_norm_scan_refuses_a_nan_threshold_before_its_first_block(monkeypatch):
+    def no_blocks(n):
+        raise AssertionError("a permutation block was drawn")
+    monkeypatch.setattr(ga, "_dual_permutation_blocks", no_blocks)
+    with pytest.raises(ParameterError):
+        ga.small_norm_scan(4, threshold=float("nan"))
+
+
 @pytest.mark.parametrize("n, expected", [(5, 1.894427190999916),
                                          (7, 2.0436550888948517),
                                          (8, 1.4142135623730951),

@@ -179,6 +179,55 @@ def test_unknown_method_rejected():
         sa.convolve(sa.delta(0), sa.delta(0), method="karatsuba")
 
 
+@pytest.mark.parametrize("budget", [-1.0, -1e-300, float("nan"), -float("inf")])
+def test_convolve_refuses_a_budget_below_zero(budget):
+    with pytest.raises(ParameterError):
+        sa.convolve(sa.delta(0), sa.delta(0), budget=budget)
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_convolve_budget_above_the_mass_gives_zero_in_the_operands_dtype(method):
+    rng = np.random.default_rng(3)
+    f, g = sa.TruncSeq(-4, rng.standard_normal(40)), sa.TruncSeq(2, rng.standard_normal(50))
+    for a, b in ((f, g), (f * 1j, g)):
+        mass = sa.l1_norm(sa.convolve(a, b, method))
+        h = sa.convolve(a, b, method, budget=1.01 * mass)
+        assert h.is_zero and h.values.dtype == np.result_type(a.values, b.values)
+
+
+def test_convolve_budget_zero_is_the_uncut_product():
+    rng = np.random.default_rng(4)
+    f = sa.TruncSeq(-3, rng.standard_normal(30))
+    g = sa.TruncSeq(5, rng.standard_normal(600) + 1j * rng.standard_normal(600))
+    direct = np.convolve(f.values, g.values)
+    assert sa.convolve(f, g, "direct", budget=0.0).same(sa.TruncSeq(f.lo + g.lo, direct))
+
+
+def test_l1_trimmed_hand_values():
+    vals = np.array([0.0, 1e-3, 2e-3, 1.0, 5e-4, 0.0])
+    cut = sa.l1_trimmed(7, vals, 4e-3)  # each end may drop up to 2e-3
+    assert cut.same(sa.TruncSeq(9, np.array([2e-3, 1.0])))
+    assert sa.l1_trimmed(7, vals, 0.0).same(sa.TruncSeq(7, vals))
+    assert sa.l1_trimmed(7, vals, 2.0).same(sa.TruncSeq(10, np.array([1.0])))
+    assert sa.l1_trimmed(7, vals, 2.1).is_zero
+
+
+def test_l1_trimmed_drops_the_most_it_may_at_each_end():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        vals = rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** rng.integers(-6, 1)
+        budget = float(rng.uniform(0.0, 2.0 * np.abs(vals).sum()))
+        cut = sa.l1_trimmed(0, vals, budget)
+        if cut.is_zero:
+            continue
+        left, right = cut.lo, len(vals) - 1 - cut.hi
+        mags = np.abs(vals)
+        assert mags[:left].sum() <= budget / 2 and mags[:left + 1].sum() > budget / 2
+        tail = mags[::-1]
+        assert tail[:right].sum() <= budget / 2 and tail[:right + 1].sum() > budget / 2
+        np.testing.assert_array_equal(cut.values, vals[left: len(vals) - right])
+
+
 # -------------------------------------------------------------------- norms
 
 

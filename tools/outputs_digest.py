@@ -1,0 +1,63 @@
+"""Print sha256 digests of the coefficient pipeline's outputs, as JSON.
+
+Two trees compute the same numbers exactly when their digests match::
+
+    PYTHONPATH=src python3 tools/outputs_digest.py
+
+Each digest covers the raw bytes, dtype and index window of every
+result in its group; ``all`` covers the groups together.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+
+import numpy as np
+
+from convalg import circlemaps as cm
+from convalg import compops as co
+from convalg import seqalg as sa
+from convalg import weights as wt
+
+NS = [n for n in range(-500, 501) if n]
+
+
+def _seq(f: sa.TruncSeq) -> bytes:
+    return struct.pack("<q", f.lo) + str(f.values.dtype).encode() + f.values.tobytes()
+
+
+def groups() -> dict[str, list[bytes]]:
+    b = cm.Blaschke(0.5)
+    const, poly = wt.constant(), wt.polynomial(2.0)
+    out: dict[str, list[bytes]] = {"build_matrix": []}
+    for r, N in ((0.5, 500), (0.9, 250), (0.3, 800), (-0.7, 100)):
+        m = co.build_matrix(cm.Blaschke(r), (-N, N))
+        out["build_matrix"].append(struct.pack("<qq", m.m_lo, m.m_hi)
+                                   + str(m.entries.dtype).encode() + m.entries.tobytes())
+    out["power_coeffs"] = [_seq(cm.power_coeffs(b, n)) for n in NS]
+    out["column_ratio"] = [struct.pack("<d", co.column_ratio(b, const, 2.0, n)) for n in NS]
+    out["weighted_power"] = [_seq(col) + struct.pack("<d", err)
+                             for w in (const, poly) for n in (-40, -7, 1, 9, 40)
+                             for col, err in [cm.weighted_power(b, n, w, 1e-10)]]
+    out["compose_transform"] = [_seq(cm.compose_transform(sa.delta(n), b))
+                                for n in (-400, -25, 25, 400)]
+    return out
+
+
+def main() -> None:
+    digests = {}
+    total = hashlib.sha256()
+    for name, blobs in groups().items():
+        h = hashlib.sha256()
+        for blob in blobs:
+            h.update(hashlib.sha256(blob).digest())
+        digests[name] = h.hexdigest()
+        total.update(h.digest())
+    digests["all"] = total.hexdigest()
+    print(json.dumps({"numpy": np.__version__, "sha256": digests}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
