@@ -148,7 +148,7 @@ def power_pipeline_agreement() -> str:
 
 
 def monomial_isometry() -> str:
-    """Monomial automorphisms are isometric and multiplicative."""
+    """The standard automorphisms f -> lam^n f(+-n) are isometric and multiplicative."""
     rng = np.random.default_rng(1)
     lam = complex(np.exp(0.61j))
     worst_n, worst_m = 0.0, 0.0

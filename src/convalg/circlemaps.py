@@ -1,15 +1,17 @@
-"""Analytic self-maps of the unit circle and their Fourier calculus.
+"""Blaschke self-maps of the unit circle and their Fourier calculus.
 
-Two map families: rotations/reflections ``Monomial(lam, power)`` with
-|lam| = 1, and the disk automorphisms ``Blaschke(r)`` given by
-b_r(z) = (z - r) / (1 - r z) for real |r| < 1.  Both are unimodular on
-the circle, so reciprocals come from index-reflected complex conjugation
-of coefficient sequences.
+The maps are the disk automorphisms ``Blaschke(r)`` given by
+b_r(z) = (z - r) / (1 - r z) for real |r| < 1; b_0 is the identity z, and
+b_r has the inverse b_-r.  They are unimodular on the circle, so
+reciprocals come from index-reflected complex conjugation of coefficient
+sequences.  The standard automorphisms f -> lam^n f(+-n) are not
+composition operators of these maps: ``compops.standard_automorphism``
+computes them directly.
 
 Coefficient routines return :class:`~convalg.seqalg.TruncSeq` objects
-within the l1 distance of the exact ones that each routine states.  A
-Blaschke factor with real r has real coefficients, and they are stored and
-multiplied as float64; monomials and compositions stay complex128.
+within the l1 distance of the exact ones that each routine states.  With
+real r every coefficient is real, and they are stored and multiplied as
+float64; compositions stay complex128.
 ``compose_transform`` implements the sampling pipeline: evaluate the
 Laurent series of f after the map on a root-of-unity grid, inverse DFT,
 and double the grid until the result is l1-Cauchy.
@@ -19,69 +21,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from numbers import Real
+from typing import Iterator
 
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
-from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, l1_trimmed, zero_seq
+from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, l1_trimmed
 from .weights import CONSTANT, TABULATED, Weight, geometric_tail
 
 MAX_LOG2_GRID = 20
 MAX_SERIES_ROWS = 1 << 14
-UNIT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """z -> lam * z^power with |lam| = 1."""
-
-    lam: complex
-    power: int = 1
-
-    def __post_init__(self) -> None:
-        if abs(abs(complex(self.lam)) - 1.0) > UNIT_TOL:
-            raise ParameterError(f"|lam| must be 1, got {abs(complex(self.lam))}")
 
 
 @dataclass(frozen=True)
 class Blaschke:
-    """z -> (z - r) / (1 - r z) with real |r| < 1."""
+    """z -> (z - r) / (1 - r z) with real |r| < 1; a complex-typed r is refused."""
 
     r: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.r, Real):
+            raise ParameterError(f"r must be real, got {self.r!r}")
         if not abs(self.r) < 1.0:
             raise ParameterError(f"|r| < 1 required, got {self.r}")
 
 
-CircleMap = Union[Monomial, Blaschke]
-
-
-def map_values(phi: CircleMap, z: np.ndarray) -> np.ndarray:
+def map_values(phi: Blaschke, z: np.ndarray) -> np.ndarray:
     """Evaluate the map on arbitrary complex points (no domain check)."""
     z = np.asarray(z, dtype=np.complex128)
-    if isinstance(phi, Monomial):
-        return phi.lam * z ** phi.power
     return (z - phi.r) / (1.0 - phi.r * z)
 
 
-def derivative_values(phi: CircleMap, z: np.ndarray) -> np.ndarray:
+def derivative_values(phi: Blaschke, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
-    if isinstance(phi, Monomial):
-        return phi.lam * phi.power * z ** (phi.power - 1)
     return (1.0 - phi.r ** 2) / (1.0 - phi.r * z) ** 2
-
-
-def inverse_map(phi: CircleMap) -> CircleMap:
-    """The compositional inverse on the circle, when one exists."""
-    if isinstance(phi, Blaschke):
-        return Blaschke(-phi.r)
-    if phi.power == 1:
-        return Monomial(1.0 / phi.lam, 1)
-    if phi.power == -1:
-        return phi
-    raise ParameterError(f"z -> lam z^{phi.power} is not invertible on the circle")
 
 
 # ---------------------------------------------------------------------
@@ -89,16 +63,14 @@ def inverse_map(phi: CircleMap) -> CircleMap:
 # ---------------------------------------------------------------------
 
 
-def coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
+def coeffs(phi: Blaschke, tol: float = 1e-12) -> TruncSeq:
     """Fourier coefficients of the map itself, l1 tail below tol.
 
     For b_r these are -r at index 0 and (1 - r^2) r^(k-1) at k >= 1
-    (geometric expansion of the Cauchy kernel); exact for monomials.
+    (geometric expansion of the Cauchy kernel); exact for b_0.
     Every Blaschke coefficient route starts here, so this is where a
     tolerance that is not positive and finite is refused.
     """
-    if isinstance(phi, Monomial):
-        return delta(phi.power, complex(phi.lam))
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"Blaschke coefficients need a positive finite tolerance, got {tol:g}")
     r = phi.r
@@ -122,12 +94,8 @@ def _geom_cutoff(x: float, scale: float, tol: float) -> int:
     return max(1, math.ceil(math.log(tol / scale) / math.log(x)))
 
 
-def derivative_coeffs(phi: CircleMap, tol: float = 1e-12) -> TruncSeq:
+def derivative_coeffs(phi: Blaschke, tol: float = 1e-12) -> TruncSeq:
     """Coefficients of phi'; for b_r these are (1 - r^2)(k+1) r^k, k >= 0."""
-    if isinstance(phi, Monomial):
-        if phi.power == 0:
-            return zero_seq()
-        return delta(phi.power - 1, complex(phi.lam) * phi.power)
     r = phi.r
     if r == 0.0:
         return delta(0)
@@ -153,16 +121,16 @@ def reflect_conj(f: TruncSeq) -> TruncSeq:
 # ---------------------------------------------------------------------
 
 
-def weighted_power(phi: CircleMap, n: int, w: Weight, budget: float) -> tuple[TruncSeq, float]:
+def weighted_power(phi: Blaschke, n: int, w: Weight, budget: float) -> tuple[TruncSeq, float]:
     """phi^n and a bound E <= ``budget`` of its error in the w-weighted l1 norm.
 
-    That norm dominates every ||.||_{p,w} with p >= 1.  Monomials, b_0
-    and n = 0 have exact columns (E = 0).  Under a constant or tabulated
-    weight the column is ``power_coeffs`` at the l1 budget budget / sup w.
+    That norm dominates every ||.||_{p,w} with p >= 1.  b_0 and n = 0
+    have exact columns (E = 0).  Under a constant or tabulated weight the
+    column is ``power_coeffs`` at the l1 budget budget / sup w.
     The growing families are symmetric, so b_r^-n, the conjugate
     reflection of b_r^n, has the same bound as b_r^n from ``_power_rows``.
     """
-    if isinstance(phi, Monomial) or phi.r == 0.0 or n == 0:
+    if phi.r == 0.0 or n == 0:
         return power_coeffs(phi, n), 0.0
     if w.family in (CONSTANT, TABULATED):
         return power_coeffs(phi, n, budget / max(w.table or (1.0,))), budget
@@ -170,8 +138,8 @@ def weighted_power(phi: CircleMap, n: int, w: Weight, budget: float) -> tuple[Tr
     return (reflect_conj(col) if n < 0 else col), err
 
 
-def power_l1_bound(phi: CircleMap, m: int) -> float:
-    """An upper bound of ||phi^k||_1 for every |k| <= m, nondecreasing in m; 1 for a monomial.
+def power_l1_bound(phi: Blaschke, m: int) -> float:
+    """An upper bound of ||phi^k||_1 for every |k| <= m, nondecreasing in m.
 
     Write c for the coefficients of f = b_r^m.  As |b_r| = 1 on the
     circle, ||c||_2 = 1, and z f'(z) - m f(z) = m f(z) (P(z) - 1) with P
@@ -181,12 +149,10 @@ def power_l1_bound(phi: CircleMap, m: int) -> float:
     1 + ((k - m)/(m s))^2, whose reciprocals sum to at most 1 + pi m s,
     gives ||c||_1 <= sqrt(2 (1 + pi m s)), also for b_r^-m, its conjugate reflection.
     """
-    if isinstance(phi, Monomial):
-        return 1.0
     return math.sqrt(2.0 * (1.0 + math.pi * m * abs(phi.r) * math.sqrt(2.0 / (1.0 - phi.r ** 2))))
 
 
-def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
+def power_coeffs(phi: Blaschke, n: int, tol: float = 1e-10) -> TruncSeq:
     """Coefficients of phi^n (n may be negative), within ``tol`` <= 1 of the exact ones in l1.
 
     Negative powers use 1/phi = conj(phi) on the circle, i.e. the
@@ -202,8 +168,6 @@ def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
     rounding.
     """
     n = int(n)
-    if isinstance(phi, Monomial):
-        return delta(phi.power * n, _unit_power(phi.lam, n))
     if n == 0:
         return delta(0)
     e = abs(n)
@@ -216,20 +180,16 @@ def power_coeffs(phi: CircleMap, n: int, tol: float = 1e-10) -> TruncSeq:
                          convolve(f, g, budget=tol / (4.0 * n_mults * held * beta)))
 
 
-def running_powers(phi: CircleMap, top: int, tol: float = 1e-10) -> Iterator[TruncSeq]:
+def running_powers(phi: Blaschke, top: int, tol: float = 1e-10) -> Iterator[TruncSeq]:
     """Yield phi^0, ..., phi^top, each within beta (e^(0.26 tol) - 1) of the exact power in l1.
 
-    Monomial powers are exact.  A Blaschke power is the one before times
-    the base expansion (l1 tail e0 = tol / (100 (top + 1)), its spectrum
-    kept per FFT length), trimmed by at most s = tol / (4 top).  Each trim
-    is carried into every later power; by the expansion of ``power_coeffs``,
+    Each power is the one before times the base expansion (l1 tail e0 =
+    tol / (100 (top + 1)), its spectrum kept per FFT length), trimmed by
+    at most s = tol / (4 top).  Each trim is carried into every later
+    power; by the expansion of ``power_coeffs``,
     beta = ``power_l1_bound(phi, top)`` and n (e0 + s) <= 0.26 tol give the
     bound, about 0.26 beta tol, up to rounding.
     """
-    if isinstance(phi, Monomial):
-        for n in range(top + 1):
-            yield power_coeffs(phi, n)
-        return
     times_base = _RightMultiplier(coeffs(phi, tol / (100.0 * (top + 1.0))))
     step_budget = tol / (4.0 * max(1, top))
     cur = delta(0)
@@ -308,11 +268,6 @@ def _binary_power(base: TruncSeq, e: int, times) -> TruncSeq:
     return result
 
 
-def _unit_power(lam: complex, n: int) -> complex:
-    """lam^n for |lam| = 1 via the phase, so the result stays unimodular."""
-    return complex(np.exp(1j * n * np.angle(complex(lam))))
-
-
 # ---------------------------------------------------------------------
 # composition by circle sampling
 # ---------------------------------------------------------------------
@@ -322,7 +277,7 @@ def _roots_of_unity(M: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(M) / M)
 
 
-def _compose_once(f: TruncSeq, phi: CircleMap, M: int) -> TruncSeq:
+def _compose_once(f: TruncSeq, phi: Blaschke, M: int) -> TruncSeq:
     z = _roots_of_unity(M)
     w = map_values(phi, z)
     acc = np.zeros(M, dtype=np.complex128)
@@ -333,7 +288,7 @@ def _compose_once(f: TruncSeq, phi: CircleMap, M: int) -> TruncSeq:
     return TruncSeq(-(M // 2), coef)
 
 
-def compose_transform(f: TruncSeq, phi: CircleMap, cauchy_tol: float = 1e-9) -> TruncSeq:
+def compose_transform(f: TruncSeq, phi: Blaschke, cauchy_tol: float = 1e-9) -> TruncSeq:
     """Coefficients of z -> f^(phi(z)), f^ the Laurent series of f.
 
     Samples on M-th roots of unity and doubles M until two successive

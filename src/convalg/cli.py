@@ -155,8 +155,7 @@ def _cmd_weights_check(args) -> tuple[int, dict]:
     w = wt.from_descriptor(descriptor)
     sub = wt.check_submultiplicative(w, window=None if w.on_group else args.window)
     print(f"submultiplicative: {sub.submultiplicative} "
-          f"(max excess {sub.max_excess:.6g} at {sub.argmax}, "
-          f"max ratio {sub.max_ratio:.6g})")
+          f"(max excess {sub.max_excess:.6g}, max ratio {sub.max_ratio:.6g} at {sub.argmax})")
     report: dict = {"submultiplicative": {"verdict": sub.submultiplicative, "argmax": sub.argmax,
                                           "max_excess": sub.max_excess, "max_ratio": sub.max_ratio}}
     if args.p > 1.0:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .circlemaps import (Blaschke, CircleMap, compose_transform, derivative_coeffs,
-                         inverse_map, power_coeffs, power_l1_bound, running_powers,
-                         weighted_power)
+from .circlemaps import (Blaschke, compose_transform, derivative_coeffs, power_coeffs,
+                         power_l1_bound, running_powers, weighted_power)
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
 from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, weighted_norm
 
@@ -62,21 +61,22 @@ class OperatorMatrix:
     n_hi: int
     m_lo: int
     m_hi: int
-    entries: np.ndarray  # shape (rows, cols); float64 when every column is real, else complex128
+    entries: np.ndarray  # shape (rows, cols), float64
 
 
-def build_matrix(phi: CircleMap, n_range: tuple[int, int],
+def build_matrix(phi: Blaschke, n_range: tuple[int, int],
                  tol: float = 1e-10) -> OperatorMatrix:
     """Assemble the truncated matrix of C_phi over the given column range.
 
     Column n >= 0 is phi^n from ``running_powers(phi, top, tol)``, top =
     max |n|, so it is within beta (e^(0.26 tol) - 1), about 0.26 beta tol,
-    of the exact power in l1, beta = ``power_l1_bound(phi, top)``.  Column
-    -n is the conjugate reflection of column n (1/phi = conj(phi) on the
-    circle), with the same bound.  A :class:`SizeError` is raised as soon
-    as the row span of the columns built so far, times the column count,
-    exceeds ``MAX_MATRIX_ENTRIES``: the row span of the finished matrix
-    contains it, so the matrix would be refused anyway.
+    of the exact power in l1, beta = ``power_l1_bound(phi, top)``.  Every
+    entry is real.  Column -n is column n on reversed rows (1/phi =
+    conj(phi) on the circle, and the coefficients are real), with the
+    same bound.  A :class:`SizeError` is raised as soon as the row span
+    of the columns built so far, times the column count, exceeds
+    ``MAX_MATRIX_ENTRIES``: the row span of the finished matrix contains
+    it, so the matrix would be refused anyway.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo > n_hi:
@@ -95,8 +95,7 @@ def build_matrix(phi: CircleMap, n_range: tuple[int, int],
         if (m_hi - m_lo + 1) * ncols > MAX_MATRIX_ENTRIES:
             raise SizeError(f"matrix of at least {m_hi - m_lo + 1}x{ncols} "
                             "entries exceeds the size cap")
-    real = not any(np.iscomplexobj(c.values) for c in powers)
-    M = np.zeros((m_hi - m_lo + 1, ncols), dtype=np.float64 if real else np.complex128)
+    M = np.zeros((m_hi - m_lo + 1, ncols))
     for n in range(n_lo, n_hi + 1):
         c = powers[abs(n)]
         if c.is_zero:
@@ -104,7 +103,7 @@ def build_matrix(phi: CircleMap, n_range: tuple[int, int],
         if n >= 0:
             M[c.lo - m_lo: c.hi - m_lo + 1, n - n_lo] = c.values
         else:
-            M[-c.hi - m_lo: -c.lo - m_lo + 1, n - n_lo] = np.conj(c.values[::-1])
+            M[-c.hi - m_lo: -c.lo - m_lo + 1, n - n_lo] = c.values[::-1]
     return OperatorMatrix(n_lo, n_hi, m_lo, m_hi, M)
 
 
@@ -113,7 +112,7 @@ def build_matrix(phi: CircleMap, n_range: tuple[int, int],
 # ---------------------------------------------------------------------
 
 
-def column_ratio(phi: CircleMap, w: wt.Weight, p: float, n: int,
+def column_ratio(phi: Blaschke, w: wt.Weight, p: float, n: int,
                  tol: float = 1e-10) -> float:
     """||C_phi delta_n||_{p,w} / ||delta_n||_{p,w}, certified to ``tol`` relatively.
 
@@ -124,7 +123,7 @@ def column_ratio(phi: CircleMap, w: wt.Weight, p: float, n: int,
     return _column(phi, w, p, n, tol)[1]
 
 
-def _column(phi: CircleMap, w: wt.Weight, p: float, n: int, tol: float) -> tuple[TruncSeq, float]:
+def _column(phi: Blaschke, w: wt.Weight, p: float, n: int, tol: float) -> tuple[TruncSeq, float]:
     """The column phi^n of ``column_ratio`` and its certified ratio."""
     if not (p >= 1.0 and 0.0 < tol < math.inf):
         raise ParameterError("column ratios need p >= 1 and a positive finite tolerance, "
@@ -206,24 +205,23 @@ def blowup_experiment(case: int, r: float, ns, p: float = 1.0,
 
 
 # ---------------------------------------------------------------------
-# l2 operator norm by a dense Hermitian solve
+# l2 operator norm by a dense symmetric solve
 # ---------------------------------------------------------------------
 
 NORM_RESIDUAL_TOL = 1e-10
 
 
-def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int) -> float:
+def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
     """Largest singular value of the weighted truncation of C_phi.
 
     Columns are the powers phi^n for |n| <= N from ``build_matrix`` at its
     default tolerance; the weighted matrix is A = D_out M D_in^{-1} with
     diagonal weights on the output window (the union of the column
-    supports) and input window.
+    supports) and input window.  A is real.
 
-    When A is real, its row window is -m..m and A[-k, -n] = A[k, n]
-    exactly (real Blaschke maps under any even weight), A commutes with
-    the flip (Jf)(n) = f(-n) and maps even sequences to even ones and odd
-    to odd.  Then A is orthogonally equivalent to the direct sum of two
+    When its row window is -m..m and A[-k, -n] = A[k, n] exactly (a
+    Blaschke map under any even weight), A commutes with the flip
+    (Jf)(n) = f(-n) and maps even sequences to even ones and odd to odd.  Then A is orthogonally equivalent to the direct sum of two
     blocks: the even block on the orthonormal bases e_0, (e_n + e_-n)/sqrt 2,
     of size (m+1) x (N+1), and the odd block on (e_n - e_-n)/sqrt 2, of
     size m x N.  Each is solved on its own and the larger value returned;
@@ -231,12 +229,12 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int) -> float:
 
     Each block is B = P^T A Q, where the orthonormal columns of Q and P
     are its input and output bases (identities for a single block); A
-    maps the span of Q into that of P, and A^H back.  The unit top
-    eigenvector v of the Gram matrix B^H B (dense symmetric eigen-solve)
+    maps the span of Q into that of P, and A^T back.  The unit top
+    eigenvector v of the Gram matrix B^T B (dense symmetric eigen-solve)
     gives sigma = ||B v|| = ||A Q v|| with Q v a unit vector, so the
     returned value never exceeds ||A|| up to rounding: it is a lower
     bound of the norm of the computed matrix, not of the exact truncation.
-    The pair is checked by the residual ||B^H u - sigma v|| with u = B v /
+    The pair is checked by the residual ||B^T u - sigma v|| with u = B v /
     sigma, which equals the residual of the pair (P u, Q v) of A and so
     bounds the distance from sigma to a singular value of A (Golub & Van
     Loan, ch. 8); an :class:`AccuracyError` is raised when it exceeds
@@ -254,7 +252,7 @@ def op_norm_l2(phi: CircleMap, w: wt.Weight, N: int) -> float:
     del mat
     A *= w_out[:, None]
     A /= w_in[None, :]
-    if symmetric_window and not np.iscomplexobj(A) and np.array_equal(A, A[::-1, ::-1]):
+    if symmetric_window and np.array_equal(A, A[::-1, ::-1]):
         blocks = _flip_blocks(A, m, N)
     else:
         blocks = [A]
@@ -275,14 +273,13 @@ def _flip_blocks(A: np.ndarray, m: int, N: int) -> list[np.ndarray]:
 
 
 def _top_singular_value(B: np.ndarray) -> float:
-    """sigma = ||B v|| for the top eigenvector v of B^H B, residual-checked."""
-    BH = B.conj().T if np.iscomplexobj(B) else B.T
-    v = np.linalg.eigh(BH @ B)[1][:, -1]
+    """sigma = ||B v|| for the top eigenvector v of B^T B, residual-checked."""
+    v = np.linalg.eigh(B.T @ B)[1][:, -1]
     Bv = B @ v
     sigma = float(np.linalg.norm(Bv))
     if sigma == 0.0:
         return 0.0
-    residual = float(np.linalg.norm(BH @ (Bv / sigma) - sigma * v))
+    residual = float(np.linalg.norm(B.T @ (Bv / sigma) - sigma * v))
     if not residual <= NORM_RESIDUAL_TOL * sigma:
         raise AccuracyError(
             f"singular pair residual {residual:.3g} exceeds {NORM_RESIDUAL_TOL:g} * sigma")
@@ -310,8 +307,8 @@ def distortion_experiment(w: wt.Weight, r_list, N: int) -> list[DistortionReport
     """Distortion ||C_phi|| * ||C_phi^{-1}|| of the Blaschke isomorphisms.
 
     Requires the polynomial weight max(1, |n|^a) with integer a > 1.
-    The inverse of C_phi is C_psi for psi = inverse_map(phi), here
-    b_{-r}, and distortion >= 1 always; each report also notes the non-
+    The inverse of C_phi is C_psi for psi = b_{-r}, the inverse of
+    phi = b_r, and distortion >= 1 always; each report also notes the non-
     standardness witness (column 1 has at least two sizable entries).
     """
     if w.family != wt.POLYNOMIAL or w.param is None or \
@@ -326,7 +323,7 @@ def distortion_experiment(w: wt.Weight, r_list, N: int) -> list[DistortionReport
     def one(r: float) -> DistortionReport:
         phi = Blaschke(r)
         nf = op_norm_l2(phi, w, N)
-        ni = op_norm_l2(inverse_map(phi), w, N)
+        ni = op_norm_l2(Blaschke(-r), w, N)
         dist = nf * ni
         if dist < 1.0 - 1e-9:
             raise AccuracyError(f"distortion {dist} fell below 1 at r = {r}")
@@ -350,7 +347,7 @@ class ChainRuleReport:
     tol: float
 
 
-def chain_rule_check(f: TruncSeq, phi: CircleMap, tol: float = 1e-6) -> ChainRuleReport:
+def chain_rule_check(f: TruncSeq, phi: Blaschke, tol: float = 1e-6) -> ChainRuleReport:
     """l1 residual of (f^ o phi)' = (f^' o phi) * phi' at coefficient level.
 
     The left side is the formal derivative of the composed sequence; the

@@ -98,10 +98,6 @@ class TruncSeq:
     __rmul__ = __mul__
 
 
-def zero_seq() -> TruncSeq:
-    return TruncSeq(0, np.zeros(0, dtype=np.complex128))
-
-
 def delta(n: int, value: complex = 1.0) -> TruncSeq:
     """The unit point mass at index n (scaled by ``value``, whose dtype it keeps)."""
     return TruncSeq(int(n), np.asarray([value]))

@@ -1,4 +1,4 @@
-"""Circle maps: Blaschke factors, monomials, coefficients, composition."""
+"""Circle maps: Blaschke factors, coefficients, powers, composition."""
 
 import numpy as np
 import pytest
@@ -32,34 +32,26 @@ def test_blaschke_requires_r_inside_disk():
         cm.Blaschke(-1.3)
 
 
-def test_monomial_requires_unimodular_coefficient():
-    cm.Monomial(np.exp(0.3j), 2)
-    with pytest.raises(ParameterError):
-        cm.Monomial(0.5, 1)
-    with pytest.raises(ParameterError):
-        cm.Monomial(0.0, 1)
+@pytest.mark.parametrize("r", [0.5j, 0.5 + 0j, np.complex128(0.0)])
+def test_blaschke_refuses_a_complex_r(r):
+    # also with a zero imaginary part: the type is refused, not the value
+    with pytest.raises(ParameterError, match="must be real"):
+        cm.Blaschke(r)
 
 
 def test_maps_are_unimodular_on_the_circle():
     z = circle(1024)
-    for phi in (cm.Blaschke(0.6), cm.Blaschke(-0.25),
-                cm.Monomial(1j, 3), cm.Monomial(1.0, -2)):
+    for phi in (cm.Blaschke(0.6), cm.Blaschke(-0.25), cm.Blaschke(0)):
         defect = np.max(np.abs(np.abs(cm.map_values(phi, z)) - 1.0))
         assert defect < 1e-12
 
 
 def test_inverse_map_round_trip():
     z = circle(64)
-    for phi in (cm.Blaschke(0.4), cm.Blaschke(-0.7),
-                cm.Monomial(np.exp(1.1j), 1), cm.Monomial(1j, -1)):
-        inv = cm.inverse_map(phi)
+    for r in (0.4, -0.7):
+        phi, inv = cm.Blaschke(r), cm.Blaschke(-r)
         np.testing.assert_allclose(cm.map_values(inv, cm.map_values(phi, z)),
                                    z, atol=1e-12)
-
-
-def test_inverse_of_higher_power_monomial_rejected():
-    with pytest.raises(ParameterError):
-        cm.inverse_map(cm.Monomial(1.0, 2))
 
 
 # ------------------------------------------------------------- coefficients
@@ -84,27 +76,24 @@ def test_blaschke_coefficients_match_sampling_oracle(r):
                                atol=SAMPLE_TOL)
 
 
-def test_real_coefficients_are_float64_and_monomials_complex():
+def test_blaschke_coefficients_are_float64_and_compositions_complex():
     phi = cm.Blaschke(-0.6)
     for seq in (cm.coeffs(phi), cm.coeffs(cm.Blaschke(0.0)), cm.derivative_coeffs(phi),
                 cm.power_coeffs(phi, 5), cm.power_coeffs(phi, -5), cm.power_coeffs(phi, 0),
                 cm.reflect_conj(cm.coeffs(phi)), sa.l1_trimmed(0, cm.coeffs(phi).values, 1e-3),
                 sa.l1_trimmed(0, cm.coeffs(phi).values, 10.0)):
         assert seq.values.dtype == np.float64
-    for seq in (cm.coeffs(cm.Monomial(1.0, 2)), cm.derivative_coeffs(cm.Monomial(-1.0, 2)),
-                cm.power_coeffs(cm.Monomial(1.0, 1), 0), cm.power_coeffs(cm.Monomial(1.0, 1), 3),
-                cm.compose_transform(sa.delta(2), phi)):
-        assert seq.values.dtype == np.complex128
+    assert cm.compose_transform(sa.delta(2), phi).values.dtype == np.complex128
     assert sa.l1_trimmed(0, cm.coeffs(phi).values, 10.0).is_zero
 
 
 def test_monomial_coefficients_are_a_single_delta():
-    c = cm.coeffs(cm.Monomial(1j, -2))
-    assert c.same(sa.delta(-2, 1j))
+    # b_0 is the monomial z
+    assert cm.coeffs(cm.Blaschke(0)).same(sa.delta(1))
 
 
 def test_derivative_coefficients_match_closed_form():
-    for phi in (cm.Blaschke(0.5), cm.Blaschke(-0.3), cm.Monomial(1j, 2)):
+    for phi in (cm.Blaschke(0.5), cm.Blaschke(-0.3), cm.Blaschke(0)):
         dc = cm.derivative_coeffs(phi, tol=1e-12)
         z = circle(2048)
         err = np.max(np.abs(sa.gelfand_sample(dc, 2048)
@@ -151,16 +140,12 @@ def test_power_coeffs_match_pointwise_powers(n):
 
 
 def test_monomial_power_coeffs_closed_form():
-    lam = np.exp(0.7j)
-    pc = cm.power_coeffs(cm.Monomial(lam, 2), 5)
-    assert pc.support_len == 1
-    assert pc[10] == pytest.approx(lam ** 5, rel=1e-12)
+    # b_0 is the monomial z, and its powers come out exact
+    assert cm.power_coeffs(cm.Blaschke(0), 5).same(sa.delta(5))
 
 
 def test_negative_monomial_power():
-    lam = np.exp(0.7j)
-    pc = cm.power_coeffs(cm.Monomial(lam, 1), -4)
-    assert pc[-4] == pytest.approx(lam ** -4, rel=1e-12)
+    assert cm.power_coeffs(cm.Blaschke(0), -4).same(sa.delta(-4))
 
 
 def test_each_trimmed_product_is_stored_once(monkeypatch):
@@ -201,7 +186,7 @@ def test_compose_transform_refuses_an_undoublable_start_grid_before_any_grid(mon
 def test_compose_with_identity_map_is_identity():
     rng = np.random.default_rng(5)
     f = sa.TruncSeq(-6, rng.standard_normal(13) + 1j * rng.standard_normal(13))
-    g = cm.compose_transform(f, cm.Monomial(1.0, 1))
+    g = cm.compose_transform(f, cm.Blaschke(0))
     assert sa.l1_diff(f, g) < 1e-12
 
 
@@ -228,7 +213,7 @@ def test_compose_agrees_with_power_pipeline():
 
 
 def test_compose_zero_sequence():
-    assert cm.compose_transform(sa.zero_seq(), cm.Blaschke(0.3)).is_zero
+    assert cm.compose_transform(sa.TruncSeq(0, []), cm.Blaschke(0.3)).is_zero
 
 
 def test_compose_group_law_inverse_blaschke():

@@ -127,6 +127,13 @@ def test_weights_check_inline_descriptor(capsys):
     assert "algebra constant" in out
 
 
+def test_weights_check_names_the_pair_of_the_max_ratio(capsys):
+    # the excess w(xy) - w(x) w(y) peaks at 201 on (-1, -100), the ratio at 4 on (-1, -1)
+    assert main(["weights-check", "--weight", '{"family": "polynomial", "a": 2}', "--p", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "submultiplicative: False (max excess 201, max ratio 4 at (-1, -1))"
+
+
 def test_weights_check_descriptor_from_file(tmp_path, capsys):
     desc = tmp_path / "w.json"
     desc.write_text('{"family": "subexp", "gamma": 0.5}')

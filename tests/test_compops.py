@@ -21,7 +21,7 @@ def random_seq(rng, lo, hi):
     return sa.TruncSeq(lo, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-# ----------------------------------------------------- monomial automorphism
+# ----------------------------------------------------- standard automorphisms
 
 
 def test_standard_automorphism_hand_values():
@@ -78,12 +78,10 @@ def test_build_matrix_columns_are_map_powers():
 
 
 def test_monomial_matrix_is_a_phase_line():
-    lam = np.exp(0.9j)
-    mat = co.build_matrix(cm.Monomial(lam, 1), (-3, 3))
-    for n in range(-3, 4):
-        col = sa.TruncSeq(mat.m_lo, mat.entries[:, n - mat.n_lo])
-        assert col.support_len == 1
-        assert col[n] == pytest.approx(lam ** n, rel=1e-12)
+    # b_0 is the monomial z: column n holds the single entry 1 on row n
+    mat = co.build_matrix(cm.Blaschke(0), (-3, 3))
+    assert (mat.m_lo, mat.m_hi) == (-3, 3)
+    assert np.array_equal(mat.entries, np.eye(7))
 
 
 def test_matrix_entry_cap():
@@ -108,12 +106,9 @@ def test_entry_cap_refuses_exactly_the_oversize_builds(monkeypatch, r, n_range):
 
 @pytest.mark.parametrize("r, N", [(0.5, 500), (0.9, 250)])
 def test_blaschke_matrices_have_exactly_real_entries(r, N):
-    # the complex FFT route left imaginary parts of 3.0e-15 and 1.9e-15 here;
-    # real columns are stored as float64, complex ones as complex128
+    # the complex FFT route left imaginary parts of 3.0e-15 and 1.9e-15 here
     mat = co.build_matrix(cm.Blaschke(r), (-N, N))
     assert mat.entries.dtype == np.float64
-    mono = co.build_matrix(cm.Monomial(np.exp(0.3j), 1), (-N, N))
-    assert mono.entries.dtype == np.complex128 and np.any(mono.entries.imag)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.9])
@@ -129,8 +124,7 @@ def test_build_matrix_columns_equal_power_coeffs(r):
 @pytest.mark.parametrize("phi, n_range", [
     (cm.Blaschke(0.5), (-40, 40)),
     (cm.Blaschke(-0.7), (-12, -3)),  # no column n >= 0: the reflections of running powers
-    (cm.Monomial(np.exp(0.3j), 1), (-40, 40)),
-], ids=["b0.5", "b-0.7-negative-only", "monomial"])
+], ids=["b0.5", "b-0.7-negative-only"])
 def test_negative_columns_are_exact_conjugate_reflections(phi, n_range):
     # 1/phi = conj(phi) on the circle: column -n holds conj(phi^n) on rows flipped
     mat = co.build_matrix(phi, n_range)
@@ -157,18 +151,14 @@ def test_running_product_transforms_its_base_once_per_fft_length(monkeypatch):
 
 
 def test_monomial_columns_fill_their_rows_under_the_entry_cap(monkeypatch):
-    # z -> lam z^-3 on columns 2..9 fills rows -27..-6, one entry a column,
-    # and row 0 stays out because column 0 is not requested
-    lam = np.exp(0.3j)
-    phi = cm.Monomial(lam, -3)
+    # the monomial b_0 = z on columns 2..9 fills rows 2..9, one entry a column,
+    # and rows 0 and 1 stay out because their columns are not requested
+    phi = cm.Blaschke(0)
     full = co.build_matrix(phi, (2, 9))
-    assert (full.m_lo, full.m_hi) == (-27, -6)
-    expected = np.zeros((22, 8), dtype=complex)
-    for n in range(2, 10):
-        expected[27 - 3 * n, n - 2] = lam ** n
-    np.testing.assert_allclose(full.entries, expected, atol=1e-12)
+    assert (full.m_lo, full.m_hi) == (2, 9)
+    assert np.array_equal(full.entries, np.eye(8))
     with pytest.raises(SizeError):
-        co.build_matrix(cm.Monomial(1.0, 2), (-3000, 3000))  # 12001 x 6001
+        co.build_matrix(phi, (-3600, 3600))  # 7201 x 7201
     monkeypatch.setattr(co, "MAX_MATRIX_ENTRIES", full.entries.size - 1)
     with pytest.raises(SizeError):
         co.build_matrix(phi, (2, 9))
@@ -291,7 +281,7 @@ def test_op_norm_matches_dense_svd():
 
 
 def test_op_norm_of_identity_map_is_one():
-    assert co.op_norm_l2(cm.Monomial(1.0, 1), wt.polynomial(2.0), 32) \
+    assert co.op_norm_l2(cm.Blaschke(0), wt.polynomial(2.0), 32) \
         == pytest.approx(1.0, rel=1e-8)
 
 
@@ -317,15 +307,6 @@ def test_op_norm_forward_equals_inverse(r):
     fwd = co.op_norm_l2(cm.Blaschke(r), w, 256)
     inv = co.op_norm_l2(cm.Blaschke(-r), w, 256)
     assert fwd == pytest.approx(inv, rel=1e-12)
-
-
-def test_op_norm_of_complex_monomials():
-    # complex entries: a unimodular rotation is an isometry, and
-    # z -> lam z^2 sends delta_n to lam^n delta_2n, scaling |n|^2 by 4
-    w = wt.polynomial(2.0)
-    assert co.op_norm_l2(cm.Monomial(1j, 1), w, 32) == pytest.approx(1.0, rel=1e-12)
-    assert co.op_norm_l2(cm.Monomial(np.exp(0.7j), 2), w, 32) \
-        == pytest.approx(4.0, rel=1e-12)
 
 
 def test_op_norm_raises_when_the_residual_check_fails(monkeypatch):
@@ -364,12 +345,6 @@ def test_op_norm_splits_a_flip_symmetric_matrix(monkeypatch):
     assert sizes == [33, 32]
 
 
-def test_op_norm_solves_a_complex_matrix_whole(monkeypatch):
-    sizes = recorded_eigh_sizes(monkeypatch)
-    co.op_norm_l2(cm.Monomial(1j, 1), wt.polynomial(2.0), 32)
-    assert sizes == [65]
-
-
 def test_op_norm_solves_an_asymmetric_weight_whole(monkeypatch):
     # w(n) = exp(n / 100) on -100..100 covers the rows -79..79 of b_0.2 at N = 32
     w = wt.tabulated(np.exp(0.01 * np.arange(-100, 101)), lo=-100)
@@ -406,17 +381,10 @@ def test_distortion_experiment_small():
 
 
 def test_distortion_inverts_through_inverse_map(monkeypatch):
-    # the inverse operator's norm is taken at inverse_map(phi), not at a
-    # map the experiment builds itself
-    seen = []
-
-    def recorded(phi):
-        seen.append(phi)
-        return cm.inverse_map(phi)
-
-    monkeypatch.setattr(co, "inverse_map", recorded)
+    # the inverse operator's norm is taken at b_{-r}, the inverse map of b_r
+    calls = recorded_calls(monkeypatch, "op_norm_l2")
     rep = co.distortion_experiment(wt.polynomial(2.0), [0.1], N=16)[0]
-    assert seen == [cm.Blaschke(0.1)]
+    assert [args[0] for args in calls] == [cm.Blaschke(0.1), cm.Blaschke(-0.1)]
     assert rep.norm_inv == co.op_norm_l2(cm.Blaschke(-0.1), wt.polynomial(2.0), 16)
 
 

@@ -39,7 +39,7 @@ def test_all_zero_collapses_to_canonical_zero():
     f = sa.TruncSeq(5, np.zeros(4))
     assert f.is_zero
     assert f.support_len == 0
-    assert f.same(sa.zero_seq())
+    assert f.same(sa.TruncSeq(0, []))
 
 
 def test_getitem_outside_window_is_zero():
@@ -107,7 +107,7 @@ def test_delta_is_convolution_identity():
 
 def test_convolve_with_zero():
     f = sa.delta(2)
-    assert sa.convolve(f, sa.zero_seq()).is_zero
+    assert sa.convolve(f, sa.TruncSeq(0, [])).is_zero
 
 
 @given(seqs(), seqs())
