@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, l1_trimmed
-from .weights import CONSTANT, TABULATED, Weight, geometric_tail
+from .weights import CONSTANT, TABULATED, Weight, constant, geometric_tail
 
 MAX_LOG2_GRID = 20
 MAX_SERIES_ROWS = 1 << 14
@@ -180,23 +180,64 @@ def power_coeffs(phi: Blaschke, n: int, tol: float = 1e-10) -> TruncSeq:
                          convolve(f, g, budget=tol / (4.0 * n_mults * held * beta)))
 
 
-def running_powers(phi: Blaschke, top: int, tol: float = 1e-10) -> Iterator[TruncSeq]:
-    """Yield phi^0, ..., phi^top, each within beta (e^(0.26 tol) - 1) of the exact power in l1.
+def running_powers(phi: Blaschke, top: int, tol: float = 1e-10,
+                   start: int = 0) -> Iterator[TruncSeq]:
+    """Yield phi^start, ..., phi^top, each within beta (e^(0.26 tol) - 1) of the exact power in l1.
 
     Each power is the one before times the base expansion (l1 tail e0 =
     tol / (100 (top + 1)), its spectrum kept per FFT length), trimmed by
     at most s = tol / (4 top).  Each trim is carried into every later
     power; by the expansion of ``power_coeffs``,
     beta = ``power_l1_bound(phi, top)`` and n (e0 + s) <= 0.26 tol give the
-    bound, about 0.26 beta tol, up to rounding.
+    bound, about 0.26 beta tol, up to rounding.  The product starts at
+    phi^0, or at b_0^start = z^start, which is exact.
     """
     times_base = _RightMultiplier(coeffs(phi, tol / (100.0 * (top + 1.0))))
     step_budget = tol / (4.0 * max(1, top))
-    cur = delta(0)
-    yield cur
-    for _ in range(top):
+    n = start if phi.r == 0.0 else 0
+    cur = delta(n)
+    while True:
+        if n >= start:
+            yield cur
+        if n >= top:
+            return
         cur = times_base(cur, budget=step_budget)
-        yield cur
+        n += 1
+
+
+def certified_support(phi: Blaschke, n: int, top: int,
+                      tol: float = 1e-10) -> tuple[int, int] | None:
+    """First and last row k at which power n of ``running_powers(phi, top, tol)`` is surely nonzero.
+
+    Needs r != 0, 1 <= n <= top and a positive finite tol, else
+    :class:`ParameterError`; None when no row is certified or the grid
+    below would exceed 2^MAX_LOG2_GRID points.  On the circle
+    b_r^n = e^(i n Theta), Theta(t) = t + 2 atan2(r sin t, 1 - r cos t).
+    One FFT of its samples at M = 2^ceil(log2(2 alpha n)) points, alpha =
+    (1 + |r|)/(1 - |r|), gives c_k + sum_{j>=1} c_{k+jM} for k < M, as
+    b_r^n is analytic, so each is within T(M) = sum_{k>=M} |c_k| of the
+    exact c_k (``_cauchy_tail`` under the constant weight).  The running
+    power is within delta = beta (e^(0.26 tol) - 1) of the exact one in
+    l1, beta = ``power_l1_bound(phi, top)``, so it is nonzero at every k
+    whose sample exceeds T(M) + delta + (top + 1) 2^-40 in modulus.  The
+    last term allows for rounding: 2^-40 per power covers 64 eps times
+    log2 of any FFT length in the running products, and the |n|-fold
+    phase with one FFT here.
+    """
+    if not (phi.r != 0.0 and 1 <= n <= top and 0.0 < tol < math.inf):
+        raise ParameterError(f"a sampled column needs r != 0, 1 <= n <= top and a positive "
+                             f"finite tolerance, got r = {phi.r}, n = {n}, top = {top}, tol = {tol:g}")
+    x = abs(phi.r)
+    M = 1 << math.ceil(math.log2(2.0 * n * (1.0 + x) / (1.0 - x)))
+    if M > 1 << MAX_LOG2_GRID:
+        return None
+    t = 2.0 * np.pi * np.arange(M) / M
+    phase = t + 2.0 * np.arctan2(phi.r * np.sin(t), 1.0 - phi.r * np.cos(t))
+    sampled = np.abs(np.fft.fft(np.exp(1j * n * phase)) / M)
+    threshold = (_cauchy_tail(x, n, constant(), M - 1)
+                 + power_l1_bound(phi, top) * math.expm1(0.26 * tol) + (top + 1) * 2.0 ** -40)
+    rows = np.flatnonzero(sampled > threshold)
+    return (int(rows[0]), int(rows[-1])) if len(rows) else None
 
 
 def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[TruncSeq, float]:
@@ -222,16 +263,7 @@ def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[Trun
     x = abs(phi.r)
 
     def bound(K: int) -> float:
-        b = K * (1.0 + x * x) - n * (1.0 - x * x)
-        disc = b * b - 4.0 * (K * x) ** 2
-        if not (b > 0.0 and disc > 0.0):
-            return math.inf
-        rho = (b + math.sqrt(disc)) / (2.0 * K * x)
-        tail = geometric_tail(w, 1.0 / rho, K)
-        if not 0.0 < tail < math.inf:
-            return tail
-        log_bound = n * math.log((rho - x) / (1.0 - x * rho)) + math.log(tail)
-        return math.exp(log_bound) if log_bound < 700.0 else math.inf
+        return _cauchy_tail(x, n, w, K)
 
     lo = math.floor(n * (1.0 + x) / (1.0 - x))
     hi = lo + 1
@@ -249,6 +281,30 @@ def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[Trun
         return TruncSeq(h.lo, h.values[: max(0, hi + 1 - h.lo)])
 
     return _binary_power(_blaschke_rows(phi.r, hi), n, times), bound(hi)
+
+
+def _cauchy_tail(x: float, n: int, w: Weight, K: int) -> float:
+    """An upper bound of sum_{k>K} w(k) |c_k| for the coefficients c of b_r^n, |r| = x > 0, n >= 1.
+
+    The bound of ``_power_rows``: M(rho)^n ``geometric_tail(w, 1/rho, K)``
+    at the rho minimising rho^-K M(rho)^n; inf when K <= n (1 + x)/(1 - x)
+    or no tail is found.  Where the tail underflows to 0 the product is
+    formed in logarithms, so M(rho)^n is never dropped.
+    """
+    b = K * (1.0 + x * x) - n * (1.0 - x * x)
+    disc = b * b - 4.0 * (K * x) ** 2
+    if not (b > 0.0 and disc > 0.0):
+        return math.inf
+    rho = (b + math.sqrt(disc)) / (2.0 * K * x)
+    tail = geometric_tail(w, 1.0 / rho, K)
+    if tail == 0.0:
+        log_tail = geometric_tail(w, 1.0 / rho, K, log=True)
+    elif not tail < math.inf:
+        return tail
+    else:
+        log_tail = math.log(tail)
+    log_bound = n * math.log((rho - x) / (1.0 - x * rho)) + log_tail
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf
 
 
 def _binary_power(base: TruncSeq, e: int, times) -> TruncSeq:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .circlemaps import (Blaschke, compose_transform, derivative_coeffs, power_coeffs,
-                         power_l1_bound, running_powers, weighted_power)
+from .circlemaps import (Blaschke, certified_support, compose_transform, derivative_coeffs,
+                         power_coeffs, power_l1_bound, running_powers, weighted_power)
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
 from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, weighted_norm
 
@@ -73,18 +73,34 @@ def build_matrix(phi: Blaschke, n_range: tuple[int, int],
     of the exact power in l1, beta = ``power_l1_bound(phi, top)``.  Every
     entry is real.  Column -n is column n on reversed rows (1/phi =
     conj(phi) on the circle, and the coefficients are real), with the
-    same bound.  A :class:`SizeError` is raised as soon as the row span
-    of the columns built so far, times the column count, exceeds
-    ``MAX_MATRIX_ENTRIES``: the row span of the finished matrix contains
-    it, so the matrix would be refused anyway.
+    same bound.
+
+    A :class:`SizeError` is raised when the row span times the column
+    count would exceed ``MAX_MATRIX_ENTRIES``, in two stages.  Before the
+    first power, for r != 0, one column is sampled: the smallest |n| in
+    range whose predicted span exceeds the cap, the predicted rows of
+    column n >= 1 being ceil(n / alpha)..floor(alpha n), alpha = (1 + |r|)/(1 - |r|),
+    reflected for -n.  ``certified_support`` gives the rows at which the
+    running column is surely nonzero: its sample exceeds the aliasing
+    tail plus the column's l1 error bound plus a rounding allowance of
+    (top + 1) 2^-40.  The build is refused when the hull of those rows,
+    reflected for -n, times the column count exceeds the cap.  The
+    prediction only picks the column; it refuses nothing.  Otherwise, as
+    the powers are built, it is refused as soon as the row span of the
+    columns built so far, times the column count, exceeds the cap.  The
+    row span of the finished matrix contains both, so every refused
+    matrix would be over the cap.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo > n_hi:
         raise ParameterError("empty column range")
     ncols = n_hi - n_lo + 1
+    top = max(abs(n_lo), abs(n_hi))
+    bottom = 0 if n_lo <= 0 <= n_hi else min(abs(n_lo), abs(n_hi))
+    _refuse_by_sample(phi, n_lo, n_hi, bottom, top, tol)
     powers: list[TruncSeq] = []
     m_lo, m_hi = math.inf, -math.inf
-    for n, cur in enumerate(running_powers(phi, max(abs(n_lo), abs(n_hi)), tol)):
+    for n, cur in enumerate(running_powers(phi, top, tol, bottom), bottom):
         powers.append(cur)
         if cur.is_zero:
             continue
@@ -92,12 +108,10 @@ def build_matrix(phi: Blaschke, n_range: tuple[int, int],
             m_lo, m_hi = min(m_lo, cur.lo), max(m_hi, cur.hi)
         if n_lo <= -n <= n_hi:
             m_lo, m_hi = min(m_lo, -cur.hi), max(m_hi, -cur.lo)
-        if (m_hi - m_lo + 1) * ncols > MAX_MATRIX_ENTRIES:
-            raise SizeError(f"matrix of at least {m_hi - m_lo + 1}x{ncols} "
-                            "entries exceeds the size cap")
+        _check_size(m_hi - m_lo + 1, ncols)
     M = np.zeros((m_hi - m_lo + 1, ncols))
     for n in range(n_lo, n_hi + 1):
-        c = powers[abs(n)]
+        c = powers[abs(n) - bottom]
         if c.is_zero:
             continue
         if n >= 0:
@@ -105,6 +119,37 @@ def build_matrix(phi: Blaschke, n_range: tuple[int, int],
         else:
             M[-c.hi - m_lo: -c.lo - m_lo + 1, n - n_lo] = c.values[::-1]
     return OperatorMatrix(n_lo, n_hi, m_lo, m_hi, M)
+
+
+def _check_size(nrows: int, ncols: int) -> None:
+    if nrows * ncols > MAX_MATRIX_ENTRIES:
+        raise SizeError(f"matrix of at least {nrows}x{ncols} entries exceeds the size cap")
+
+
+def _refuse_by_sample(phi: Blaschke, n_lo: int, n_hi: int, bottom: int, top: int,
+                      tol: float) -> None:
+    """The first stage of ``build_matrix``'s refusal: one sampled column, no power built."""
+    if phi.r == 0.0:
+        return
+    alpha = (1.0 + abs(phi.r)) / (1.0 - abs(phi.r))
+    ncols = n_hi - n_lo + 1
+    for n in range(max(1, bottom), top + 1):
+        pos, neg = n_lo <= n <= n_hi, n_lo <= -n <= n_hi
+        span = 2 * math.floor(alpha * n) if pos and neg else \
+            math.floor(alpha * n) - math.ceil(n / alpha)
+        if span * ncols > MAX_MATRIX_ENTRIES:
+            break
+    else:
+        return
+    rows = certified_support(phi, n, top, tol)
+    if rows is None:
+        return
+    lo, hi = rows
+    if not pos:
+        lo, hi = -hi, -lo
+    elif neg:
+        lo, hi = min(lo, -hi), max(hi, -lo)
+    _check_size(hi - lo + 1, ncols)
 
 
 # ---------------------------------------------------------------------

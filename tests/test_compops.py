@@ -164,6 +164,89 @@ def test_monomial_columns_fill_their_rows_under_the_entry_cap(monkeypatch):
         co.build_matrix(phi, (2, 9))
 
 
+def count_steps(monkeypatch) -> list:
+    """Record each running-product step (one right multiplication) from here on."""
+    steps = []
+    call = sa._RightMultiplier.__call__
+    monkeypatch.setattr(sa._RightMultiplier, "__call__",
+                        lambda self, *args, **kwargs: steps.append(1) or call(self, *args, **kwargs))
+    return steps
+
+
+@pytest.mark.parametrize("r", [0.99, -0.99])
+def test_oversize_request_is_refused_before_the_first_power(monkeypatch, r):
+    # the benchmark's oversize request, which the running check alone refuses after 169 steps
+    steps, yields = count_steps(monkeypatch), []
+    running = co.running_powers
+
+    def counted(*args, **kwargs):
+        for cur in running(*args, **kwargs):
+            yields.append(1)
+            yield cur
+
+    monkeypatch.setattr(co, "running_powers", counted)
+    with pytest.raises(SizeError, match="x601 entries"):
+        co.build_matrix(cm.Blaschke(r), (-300, 300))
+    assert steps == [] and yields == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_bad_tolerance_is_refused_before_the_sampled_column(tol):
+    with pytest.raises(ParameterError, match="positive finite tolerance"):
+        co.build_matrix(cm.Blaschke(0.99), (-300, 300), tol)
+
+
+def test_small_cap_is_refused_by_the_sampled_column(monkeypatch):
+    # the benchmark tests' small oversize request, under their cap of 1e5 entries
+    monkeypatch.setattr(co, "MAX_MATRIX_ENTRIES", 100_000)
+    steps = count_steps(monkeypatch)
+    with pytest.raises(SizeError):
+        co.build_matrix(cm.Blaschke(0.9), (-60, 60))
+    assert steps == []
+
+
+@pytest.mark.parametrize("r, n_range, tol", [
+    (0.5, (-40, 40), 1e-10), (0.9, (-60, 60), 1e-10), (-0.7, (-12, -3), 1e-10),
+    (0.3, (5, 30), 1e-10), (0.7, (-4, 9), 1e-10), (-0.95, (-20, 35), 1e-10),
+    (0.1, (-100, 100), 1e-10), (0.99, (-30, 30), 1e-13), (-0.6, (-50, 10), 1e-6),
+])
+def test_certified_rows_are_nonzero_in_the_finished_matrix(r, n_range, tol):
+    # the certified hull of each column lies inside the matrix rows, and its ends are nonzero
+    phi = cm.Blaschke(r)
+    mat = co.build_matrix(phi, n_range, tol)
+    top = max(map(abs, n_range))
+    certified = 0
+    for n in range(n_range[0], n_range[1] + 1):
+        rows = cm.certified_support(phi, abs(n), top, tol) if n else None
+        if rows is None:
+            continue
+        lo, hi = rows if n > 0 else (-rows[1], -rows[0])
+        assert mat.m_lo <= lo <= hi <= mat.m_hi
+        col = mat.entries[:, n - mat.n_lo]
+        assert col[lo - mat.m_lo] != 0.0 and col[hi - mat.m_lo] != 0.0
+        certified += 1
+    assert certified >= (mat.n_hi - mat.n_lo) // 2
+
+
+def test_running_powers_from_a_start_are_the_tail_of_the_walk():
+    phi = cm.Blaschke(0.6)
+    whole = list(cm.running_powers(phi, 30))
+    tail = list(cm.running_powers(phi, 30, start=12))
+    assert len(tail) == 19 and all(a.same(b) for a, b in zip(tail, whole[12:]))
+
+
+@pytest.mark.parametrize("n_range, m_lo, steps_taken", [
+    ((100000, 100001), 100000, 1), ((-100001, -100000), -100001, 1), ((-2, 3), -2, 3)])
+def test_monomial_columns_cost_one_step_a_column(monkeypatch, n_range, m_lo, steps_taken):
+    # b_0^n = z^n is exact, so the walk starts at the first requested power
+    steps = count_steps(monkeypatch)
+    mat = co.build_matrix(cm.Blaschke(0), n_range)
+    ncols = n_range[1] - n_range[0] + 1
+    assert (mat.m_lo, mat.m_hi) == (m_lo, m_lo + ncols - 1)
+    assert np.array_equal(mat.entries, np.eye(ncols))
+    assert len(steps) == steps_taken
+
+
 # ------------------------------------------------------------- column ratios
 
 
@@ -181,6 +264,17 @@ def test_case1_column_ratios_frozen():
     for n, val in expected.items():
         assert co.column_ratio(cm.Blaschke(0.5), w, 1.0, n) == pytest.approx(
             val, rel=RATIO_REL_TOL)
+
+
+def test_column_ratio_keeps_the_cauchy_factor_where_the_tail_underflows():
+    # the geometric tail underflows to 0 at the rows cut-off; before, the bound
+    # dropped its factor M(rho)^n of about e^15 and returned E = 0 at K = 3687,
+    # a ratio 4.4e-6 off
+    phi, w = cm.Blaschke(0.1), wt.polynomial(2.0)
+    col, err = cm.weighted_power(phi, 3000, w, 5e-11)
+    assert 0.0 < err <= 5e-11
+    exact = sa.weighted_norm(cm.power_coeffs(phi, 3000, 1e-13), 2.0, w) / w.eval(3000)
+    assert co.column_ratio(phi, w, 2.0, 3000) == pytest.approx(exact, rel=1e-12)
 
 
 # ---------------------------------------------------------------- blow-up

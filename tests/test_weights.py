@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -200,6 +201,20 @@ def test_recip_power_sum_subexp_tail_is_inf_where_the_bound_overflows():
 
 
 # ------------------------------------------------------- algebra constant
+
+
+@pytest.mark.parametrize("w", [wt.constant(), wt.polynomial(2.0), wt.subexp(0.5)],
+                         ids=["constant", "polynomial", "subexp"])
+def test_geometric_tail_in_logarithms_is_the_log_of_the_bound(w):
+    assert wt.geometric_tail(w, 0.5, 40, log=True) == pytest.approx(
+        math.log(wt.geometric_tail(w, 0.5, 40)), rel=1e-14)
+
+
+def test_geometric_tail_in_logarithms_survives_the_underflow():
+    # under the constant weight the bound is the exact sum 0.01^401 / 0.99
+    assert wt.geometric_tail(wt.constant(), 0.01, 400) == 0.0
+    assert wt.geometric_tail(wt.constant(), 0.01, 400, log=True) == pytest.approx(
+        401 * math.log(0.01) - math.log(0.99), rel=1e-14)
 
 
 def test_algebra_constant_polynomial_frozen():

@@ -5,7 +5,10 @@ Two trees compute the same numbers exactly when their digests match::
     PYTHONPATH=src python3 tools/outputs_digest.py
 
 Each digest covers the raw bytes, dtype and index window of every
-result in its group; ``all`` covers the groups together.
+result in its group; ``refusals`` covers whether ``build_matrix`` raises
+SizeError on each request of ``REFUSALS`` under its entry cap, so equal
+digests there mean the same requests are refused.  ``all`` covers the
+groups together.
 """
 
 from __future__ import annotations
@@ -20,12 +23,30 @@ from convalg import circlemaps as cm
 from convalg import compops as co
 from convalg import seqalg as sa
 from convalg import weights as wt
+from convalg.errors import SizeError
 
 NS = [n for n in range(-500, 501) if n]
+# (r, column range, entry cap): small caps around valid builds, and the default cap
+REFUSALS = [(r, n_range, cap) for r in (0.5, -0.9, 0.99, 0.0)
+            for n_range in ((-60, 60), (5, 40), (-40, -5), (-20, 35))
+            for cap in (2_000, 20_000, 200_000)]
+REFUSALS += [(r, (-300, 300), co.MAX_MATRIX_ENTRIES) for r in (0.99, -0.99)]
 
 
 def _seq(f: sa.TruncSeq) -> bytes:
     return struct.pack("<q", f.lo) + str(f.values.dtype).encode() + f.values.tobytes()
+
+
+def _refuses(r: float, n_range: tuple[int, int], cap: int) -> bool:
+    default = co.MAX_MATRIX_ENTRIES
+    co.MAX_MATRIX_ENTRIES = cap
+    try:
+        co.build_matrix(cm.Blaschke(r), n_range)
+        return False
+    except SizeError:
+        return True
+    finally:
+        co.MAX_MATRIX_ENTRIES = default
 
 
 def groups() -> dict[str, list[bytes]]:
@@ -43,6 +64,7 @@ def groups() -> dict[str, list[bytes]]:
                              for col, err in [cm.weighted_power(b, n, w, 1e-10)]]
     out["compose_transform"] = [_seq(cm.compose_transform(sa.delta(n), b))
                                 for n in (-400, -25, 25, 400)]
+    out["refusals"] = [struct.pack("<?", _refuses(*req)) for req in REFUSALS]
     return out
 
 
