@@ -132,12 +132,15 @@ def blaschke_coefficients() -> str:
 
 
 def power_pipeline_agreement() -> str:
-    """Binary powering and the composition transform give the same powers."""
+    """Binary powering and the composition transform give the same powers, within their bounds."""
     worst = 0.0
     for n in (-7, -2, 2, 7, 15):
         a = co.power_coeffs(cm.Blaschke(0.5), n, 1e-12)
-        b = cm.compose_transform(sa.delta(n), cm.Blaschke(0.5))
-        worst = max(worst, sa.l1_diff(a, b))
+        b, b_err = cm._composed(sa.delta(n), cm.Blaschke(0.5), 1e-9)
+        gap = sa.l1_diff(a, b)
+        _require(gap <= 1e-12 + b_err, f"n={n}: gap {gap:g} exceeds the routes' bounds "
+                                       f"1e-12 + {b_err:g}")
+        worst = max(worst, gap)
     _require(worst < 1e-8, f"pipelines differ by {worst:g} in l1")
     return f"max l1 gap {worst:.2e}"
 
@@ -253,9 +256,9 @@ def unweighted_exact_norm() -> str:
             + f" at N = 32, 128, 512; exact {exact:.6f}")
 
 
-def chain_rule_residual(seed: int, r: float, count: int, support: int,
-                        tol: float) -> float:
-    """Largest chain-rule l1 residual for Blaschke(r) over random sequences.
+def chain_rule_reports(seed: int, r: float, count: int, support: int,
+                       tol: float) -> list[co.ChainRuleReport]:
+    """Chain-rule reports for Blaschke(r) on random sequences.
 
     Draws ``count`` complex sequences on [-support, support] from the
     given seed; ``tol`` is passed to :func:`compops.chain_rule_check`.
@@ -264,18 +267,20 @@ def chain_rule_residual(seed: int, r: float, count: int, support: int,
         raise ParameterError(f"need count >= 1 and support >= 0, got {count} and {support}")
     rng = np.random.default_rng(seed)
     phi = cm.Blaschke(r)
-    worst = 0.0
-    for _ in range(count):
-        f = _random_seq(rng, -support, support)
-        worst = max(worst, co.chain_rule_check(f, phi, tol=tol).residual_l1)
-    return worst
+    return [co.chain_rule_check(_random_seq(rng, -support, support), phi, tol=tol)
+            for _ in range(count)]
 
 
 def chain_rule() -> str:
-    """Derivative chain rule for Blaschke composition."""
-    worst = chain_rule_residual(2, 0.3, count=20, support=20, tol=1e-6)
+    """Derivative chain rule for Blaschke composition, each residual within its bound."""
+    reports = chain_rule_reports(2, 0.3, count=20, support=20, tol=1e-6)
+    worst = max(rep.residual_l1 for rep in reports)
     _require(worst < 1e-6, f"residual {worst:g}")
-    return f"max l1 residual {worst:.2e}"
+    for rep in reports:
+        _require(rep.residual_l1 <= rep.bound,
+                 f"residual {rep.residual_l1:g} exceeds its bound {rep.bound:g}")
+    return (f"max l1 residual {worst:.2e}, at most "
+            f"{max(rep.residual_l1 / rep.bound for rep in reports):.2f} of its bound")
 
 
 # ---------------------------------------------------------------------

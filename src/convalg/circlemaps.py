@@ -13,8 +13,11 @@ within the l1 distance of the exact ones that each routine states.  With
 real r every coefficient is real, and they are stored and multiplied as
 float64; compositions stay complex128.
 ``compose_transform`` implements the sampling pipeline: evaluate the
-Laurent series of f after the map on a root-of-unity grid, inverse DFT,
-and double the grid until the result is l1-Cauchy.
+Laurent series of f after the map on a root-of-unity grid and transform
+once.  Every circle sample, there and in ``certified_support``, takes its
+grid from one rule, ``_cauchy_grid``: the smallest power of two whose
+aliasing tail (the Cauchy bound ``_cauchy_tail``) plus a stated rounding
+allowance is within the caller's bound.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
-from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_diff, l1_trimmed
+from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_norm, l1_trimmed
 from .weights import CONSTANT, TABULATED, Weight, constant, geometric_tail
 
 MAX_LOG2_GRID = 20
@@ -210,34 +213,54 @@ def certified_support(phi: Blaschke, n: int, top: int,
     """First and last row k at which power n of ``running_powers(phi, top, tol)`` is surely nonzero.
 
     Needs r != 0, 1 <= n <= top and a positive finite tol, else
-    :class:`ParameterError`; None when no row is certified or the grid
-    below would exceed 2^MAX_LOG2_GRID points.  On the circle
+    :class:`ParameterError`; None when no row is certified or no grid of
+    at most 2^MAX_LOG2_GRID points is.  On the circle
     b_r^n = e^(i n Theta), Theta(t) = t + 2 atan2(r sin t, 1 - r cos t).
-    One FFT of its samples at M = 2^ceil(log2(2 alpha n)) points, alpha =
-    (1 + |r|)/(1 - |r|), gives c_k + sum_{j>=1} c_{k+jM} for k < M, as
-    b_r^n is analytic, so each is within T(M) = sum_{k>=M} |c_k| of the
-    exact c_k (``_cauchy_tail`` under the constant weight).  The running
-    power is within delta = beta (e^(0.26 tol) - 1) of the exact one in
-    l1, beta = ``power_l1_bound(phi, top)``, so it is nonzero at every k
-    whose sample exceeds T(M) + delta + (top + 1) 2^-40 in modulus.  The
-    last term allows for rounding: 2^-40 per power covers 64 eps times
-    log2 of any FFT length in the running products, and the |n|-fold
-    phase with one FFT here.
+    One FFT of its samples at M points gives c_k + sum_{j>=1} c_{k+jM}
+    for k < M, as b_r^n is analytic, so each is within T(M - 1) =
+    sum_{k>=M} |c_k| of the exact c_k (``_cauchy_tail`` under the constant
+    weight).  The running power is within delta = beta (e^(0.26 tol) - 1)
+    of the exact one in l1, beta = ``power_l1_bound(phi, top)``, and M is
+    the smallest grid of ``_cauchy_grid`` with T(M - 1) <= delta.  The
+    running power is nonzero at every k whose sample exceeds
+    T(M - 1) + delta + (top + 1) 2^-40 in modulus.  The last term allows
+    for rounding: 2^-40 per power covers 64 eps times log2 of any FFT
+    length in the running products, and the |n|-fold phase with one FFT
+    here.
     """
     if not (phi.r != 0.0 and 1 <= n <= top and 0.0 < tol < math.inf):
         raise ParameterError(f"a sampled column needs r != 0, 1 <= n <= top and a positive "
                              f"finite tolerance, got r = {phi.r}, n = {n}, top = {top}, tol = {tol:g}")
     x = abs(phi.r)
-    M = 1 << math.ceil(math.log2(2.0 * n * (1.0 + x) / (1.0 - x)))
-    if M > 1 << MAX_LOG2_GRID:
+    delta = power_l1_bound(phi, top) * math.expm1(0.26 * tol)
+    grid = _cauchy_grid(lambda M: _cauchy_tail(x, n, constant(), M - 1), delta)
+    if grid is None:
         return None
+    M, alias = grid
     t = 2.0 * np.pi * np.arange(M) / M
     phase = t + 2.0 * np.arctan2(phi.r * np.sin(t), 1.0 - phi.r * np.cos(t))
     sampled = np.abs(np.fft.fft(np.exp(1j * n * phase)) / M)
-    threshold = (_cauchy_tail(x, n, constant(), M - 1)
-                 + power_l1_bound(phi, top) * math.expm1(0.26 * tol) + (top + 1) * 2.0 ** -40)
-    rows = np.flatnonzero(sampled > threshold)
+    rows = np.flatnonzero(sampled > alias + delta + (top + 1) * 2.0 ** -40)
     return (int(rows[0]), int(rows[-1])) if len(rows) else None
+
+
+def _cauchy_grid(bound: Callable[[int], float], tol: float) -> tuple[int, float] | None:
+    """The smallest power of two M <= 2^MAX_LOG2_GRID with ``bound(M)`` <= tol, and that bound.
+
+    ``bound(M)`` is what the caller certifies of an M-point circle sample:
+    an aliasing tail from ``_cauchy_tail``, infinite until the grid holds
+    the bulk of the coefficients and geometric beyond, plus a stated
+    rounding allowance, which grows with M.  None, before any sample is
+    taken, when no grid up to the cap qualifies: an uncertified grid is
+    never returned.
+    """
+    M = 2
+    while M <= 1 << MAX_LOG2_GRID:
+        err = bound(M)
+        if err <= tol:
+            return M, err
+        M *= 2
+    return None
 
 
 def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[TruncSeq, float]:
@@ -284,13 +307,17 @@ def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[Trun
 
 
 def _cauchy_tail(x: float, n: int, w: Weight, K: int) -> float:
-    """An upper bound of sum_{k>K} w(k) |c_k| for the coefficients c of b_r^n, |r| = x > 0, n >= 1.
+    """An upper bound of sum_{k>K} w(k) |c_k| for the coefficients c of b_r^n, |r| = x, n >= 0.
 
     The bound of ``_power_rows``: M(rho)^n ``geometric_tail(w, 1/rho, K)``
     at the rho minimising rho^-K M(rho)^n; inf when K <= n (1 + x)/(1 - x)
     or no tail is found.  Where the tail underflows to 0 the product is
-    formed in logarithms, so M(rho)^n is never dropped.
+    formed in logarithms, so M(rho)^n is never dropped.  As M(rho) >= 1,
+    the bound at this rho also holds for every power below n.  z^n (x = 0)
+    and 1 (n = 0) have one coefficient, and their tail is exact.
     """
+    if x == 0.0 or n == 0:
+        return w.eval(n) if n > K else 0.0
     b = K * (1.0 + x * x) - n * (1.0 - x * x)
     disc = b * b - 4.0 * (K * x) ** 2
     if not (b > 0.0 and disc > 0.0):
@@ -345,32 +372,61 @@ def _compose_once(f: TruncSeq, phi: Blaschke, M: int) -> TruncSeq:
 
 
 def compose_transform(f: TruncSeq, phi: Blaschke, cauchy_tol: float = 1e-9) -> TruncSeq:
-    """Coefficients of z -> f^(phi(z)), f^ the Laurent series of f.
+    """Coefficients of z -> f^(phi(z)), f^ the Laurent series of f, within 1.01 cauchy_tol in l1.
 
-    Samples on M-th roots of unity and doubles M until two successive
-    grids agree within ``cauchy_tol`` in l1.  Raises
-    :class:`AccuracyError` when the 2^20-point cap is hit first (before any
-    grid when the start grid cannot be doubled), and
-    :class:`ParameterError` before any grid for a tolerance that is not
-    positive and finite.
+    One sample on the M-th roots of unity, the grid of ``_cauchy_grid``
+    whose aliasing tail plus rounding allowance is at most ``cauchy_tol``
+    (``_composed`` states both), then an l1 trim of ``cauchy_tol`` / 100.
+    Raises :class:`AccuracyError` before any sample when no grid of at
+    most 2^MAX_LOG2_GRID points qualifies, and :class:`ParameterError`
+    before any grid for a tolerance that is not positive and finite.
+    """
+    g = _composed(f, phi, cauchy_tol)[0]
+    return l1_trimmed(g.lo, g.values, cauchy_tol / 100.0)
+
+
+def _composed(f: TruncSeq, phi: Blaschke, cauchy_tol: float,
+              w: Weight | None = None) -> tuple[TruncSeq, float]:
+    """The untrimmed sample of ``compose_transform``, and E >= sum_k w(k) |g_k - exact_k|.
+
+    Without ``w`` E bounds the l1 error, which the grid is chosen for; a
+    weight w must be symmetric and nondecreasing in |k|.
+    f^ o b_r = sum_j f_j b_r^j.  Read on the window -M/2..M/2-1, the
+    M-point sample of b_r^j misses each coefficient outside and adds it
+    to one inside, nearer 0, so its weighted error is at most
+    2 T_j(M/2 - 1) (``_cauchy_tail`` under w).  One call at J = max |j|
+    bounds every |j| <= J, and negative powers are conjugate reflections,
+    so the aliasing of the sample is at most 2 ||f||_1 T_J(M/2 - 1).  The
+    rounding allowance is R = (8 J P + 8 log2 M) u sqrt(M) ||f||_1,
+    u = 2^-53.  A sample is off by a multiple of J |b_r'(z)| u ||f||_1
+    (the root of unity, the map value and its powers, and Horner's rule
+    on at most 2 J + 1 terms), whose root mean square on the circle has
+    P = ((1 + r^2)/(1 - r^2))^(1/2) for |b_r'|; the FFT adds a multiple
+    of log2 M u times the samples' root mean square, at most ||f||_1; and
+    sqrt(M) turns the l2 error of M coefficients into l1.  The factors 8
+    are fixed against exact rational coefficients of b_r^n: at r = 0.5
+    and n = +-2 ... +-400 the error is under 0.3 R.  The rounding falls
+    inside the window, where w is at most w(M/2).
     """
     if not 0.0 < cauchy_tol < math.inf:
         raise ParameterError("composition needs a positive finite Cauchy tolerance, "
                              f"got {cauchy_tol:g}")
     if f.is_zero:
-        return f
-    M = max(128, 1 << (4 * f.support_len - 1).bit_length())
-    diff = math.inf
-    if 2 * M <= (1 << MAX_LOG2_GRID):  # a start grid that cannot be doubled is never sampled
-        prev = _compose_once(f, phi, M)
-        while 2 * M <= (1 << MAX_LOG2_GRID):
-            M *= 2
-            cur = _compose_once(f, phi, M)
-            diff = l1_diff(cur, prev)
-            if diff < cauchy_tol:
-                return l1_trimmed(cur.lo, cur.values, cauchy_tol / 100.0)
-            prev = cur
-    raise AccuracyError(
-        f"composition did not become l1-Cauchy below {cauchy_tol:g} "
-        f"by M = 2^{MAX_LOG2_GRID} (last difference {diff:g})")
+        return f, 0.0
+    x, J, norm = abs(phi.r), max(-f.lo, f.hi), l1_norm(f)
+    if J == 0:  # a constant composes to itself
+        return TruncSeq(0, f.values.astype(np.complex128)), 0.0
+    rms_slope = math.sqrt((1.0 + x * x) / (1.0 - x * x))
 
+    def rounding(M: int) -> float:
+        return (8.0 * J * rms_slope + 8.0 * math.log2(M)) * 2.0 ** -53 * math.sqrt(M) * norm
+
+    grid = _cauchy_grid(lambda M: 2.0 * norm * _cauchy_tail(x, J, constant(), M // 2 - 1)
+                        + rounding(M), cauchy_tol)
+    if grid is None:
+        raise AccuracyError(f"no grid of at most 2^{MAX_LOG2_GRID} points certifies the "
+                            f"composition to {cauchy_tol:g} in l1")
+    M, err = grid
+    if w is not None:
+        err = 2.0 * norm * _cauchy_tail(x, J, w, M // 2 - 1) + w.eval(M // 2) * rounding(M)
+    return _compose_once(f, phi, M), err

@@ -156,8 +156,10 @@ def _cmd_weights_check(args) -> tuple[int, dict]:
     sub = wt.check_submultiplicative(w, window=None if w.on_group else args.window)
     print(f"submultiplicative: {sub.submultiplicative} "
           f"(max excess {sub.max_excess:.6g}, max ratio {sub.max_ratio:.6g} at {sub.argmax})")
-    report: dict = {"submultiplicative": {"verdict": sub.submultiplicative, "argmax": sub.argmax,
-                                          "max_excess": sub.max_excess, "max_ratio": sub.max_ratio}}
+    report: dict = {"submultiplicative": {"verdict": sub.submultiplicative,
+                                          "max_excess": sub.max_excess,
+                                          "argmax_excess": sub.argmax_excess,
+                                          "max_ratio": sub.max_ratio, "argmax_ratio": sub.argmax}}
     if args.p > 1.0:
         alg = wt.algebra_constant(w, args.p, args.window)
         print(f"algebra constant C = {alg.constant:.8g} at n = {alg.argmax_n} "
@@ -168,8 +170,8 @@ def _cmd_weights_check(args) -> tuple[int, dict]:
 
 
 def _cmd_chain_rule(args) -> tuple[int, dict]:
-    worst = checks.chain_rule_residual(args.seed, args.r, args.count,
-                                       args.support, args.tol)
+    worst = max(rep.residual_l1 for rep in checks.chain_rule_reports(
+        args.seed, args.r, args.count, args.support, args.tol))
     ok = worst < args.tol
     print(f"{'PASS' if ok else 'FAIL'}  chain rule on {args.count} random "
           f"sequences: max l1 residual {worst:.3e} (tol {args.tol:g})")

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .circlemaps import (Blaschke, certified_support, compose_transform, derivative_coeffs,
-                         power_coeffs, power_l1_bound, running_powers, weighted_power)
+from .circlemaps import (Blaschke, _composed, certified_support, derivative_coeffs, power_coeffs,
+                         power_l1_bound, running_powers, weighted_power)
+from .circlemaps import compose_transform  # noqa: F401  perfbench's tracer wraps it here
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
-from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, weighted_norm
+from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, l1_norm, weighted_norm
 
 MAX_MATRIX_ENTRIES = 50_000_000
 
@@ -81,8 +82,9 @@ def build_matrix(phi: Blaschke, n_range: tuple[int, int],
     range whose predicted span exceeds the cap, the predicted rows of
     column n >= 1 being ceil(n / alpha)..floor(alpha n), alpha = (1 + |r|)/(1 - |r|),
     reflected for -n.  ``certified_support`` gives the rows at which the
-    running column is surely nonzero: its sample exceeds the aliasing
-    tail plus the column's l1 error bound plus a rounding allowance of
+    running column is surely nonzero: sampled on the smallest grid whose
+    aliasing tail is within the column's l1 error bound, its sample
+    exceeds that tail plus the bound plus a rounding allowance of
     (top + 1) 2^-40.  The build is refused when the hull of those rows,
     reflected for -n, times the column count exceeds the cap.  The
     prediction only picks the column; it refuses nothing.  Otherwise, as
@@ -390,19 +392,36 @@ def distortion_experiment(w: wt.Weight, r_list, N: int) -> list[DistortionReport
 class ChainRuleReport:
     residual_l1: float
     tol: float
+    bound: float  # the residual is at most this, up to the rounding of l1_diff
 
 
 def chain_rule_check(f: TruncSeq, phi: Blaschke, tol: float = 1e-6) -> ChainRuleReport:
-    """l1 residual of (f^ o phi)' = (f^' o phi) * phi' at coefficient level.
+    """l1 residual of (f^ o phi)' = (f^' o phi) * phi' at coefficient level, and a bound of it.
 
     The left side is the formal derivative of the composed sequence; the
     right side is the composition of the derivative convolved with the
     coefficients of phi'.  Internal tolerances are tightened well below
-    ``tol`` because differentiation amplifies tail indices.
+    ``tol`` because differentiation amplifies tail indices; the
+    compositions' tolerance scales with the l1 norm of what they compose,
+    as their rounding does.
+
+    Each side is within a stated l1 distance of the exact derivative.
+    The left side's is the composition's error under the weight 1 + |k|,
+    which dominates the factor the derivative puts on row k.  The right
+    side's is h d - H D, for h = H + e the composed derivative (l1 error
+    at most e) and d the coefficients of phi' = D (l1 tail at most the
+    internal tolerance t): at most e ||d||_1 + (||h||_1 + e) t, plus the
+    product's rounding, allowed 64 u N ||h||_1 ||d||_1 for N terms and
+    u = 2^-53 (an FFT's or a direct sum's alike).
     """
     ctol = min(tol * 1e-4, 1e-9)  # in this order a NaN tol stays NaN, which is refused
-    lhs = formal_derivative(compose_transform(f, phi, cauchy_tol=ctol))
-    rhs = convolve(compose_transform(formal_derivative(f), phi, cauchy_tol=ctol),
-                   derivative_coeffs(phi, ctol))
-    return ChainRuleReport(float(l1_diff(lhs, rhs)), tol)
-
+    df = formal_derivative(f)
+    composed, lhs_err = _composed(f, phi, ctol * max(1.0, l1_norm(f)), wt.polynomial(1.0))
+    lhs = formal_derivative(composed)
+    h, h_err = _composed(df, phi, ctol * max(1.0, l1_norm(df)))
+    d = derivative_coeffs(phi, ctol)
+    rhs = convolve(h, d)
+    h_norm, d_norm = l1_norm(h), l1_norm(d)
+    bound = (lhs_err + h_err * d_norm + (h_norm + h_err) * ctol
+             + 64.0 * 2.0 ** -53 * len(rhs.values) * h_norm * d_norm)
+    return ChainRuleReport(float(l1_diff(lhs, rhs)), tol, bound)

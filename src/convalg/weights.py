@@ -222,6 +222,7 @@ class SubmultReport:
     max_ratio: float
     argmax: tuple[int, int]  # pair attaining max_ratio
     submultiplicative: bool
+    argmax_excess: tuple[int, int]  # pair attaining max_excess
 
 
 def check_submultiplicative(w: Weight, window: int | None = None) -> SubmultReport:
@@ -250,13 +251,15 @@ def check_submultiplicative(w: Weight, window: int | None = None) -> SubmultRepo
     excess = lhs - rhs
     ratio = lhs / rhs
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    k, m = np.unravel_index(np.argmax(excess), excess.shape)
     rel = (lhs - rhs) / np.maximum(1.0, rhs)
     ok = bool(np.max(rel) <= SUBMULT_REL_TOL)
     return SubmultReport(
-        max_excess=float(np.max(excess)),
+        max_excess=float(excess[k, m]),
         max_ratio=float(ratio[i, j]),
         argmax=(int(xs[i]), int(xs[j])),
         submultiplicative=ok,
+        argmax_excess=(int(xs[k]), int(xs[m])),
     )
 
 

@@ -86,6 +86,8 @@ def _unused_names() -> tuple[set[str], set[str]]:
 ALLOWED_PRIVATE_IMPORTS = {
     ("circlemaps", "seqalg._RightMultiplier"):
         "running_powers multiplies by one base and keeps its spectrum per FFT length",
+    ("compops", "circlemaps._composed"):
+        "chain_rule_check bounds its residual by the compositions' weighted error bounds",
 }
 
 

@@ -173,14 +173,51 @@ def test_compose_transform_refuses_a_bad_tolerance_before_any_grid(monkeypatch, 
 
 
 def test_compose_transform_refuses_an_undoublable_start_grid_before_any_grid(monkeypatch):
-    # 41 terms start on a 256-point grid, which a 2^8-point cap cannot double
+    # 41 terms at r = 0.5 are first certified to 1e-9 on 256 points, above a 2^7-point cap
     def no_grid(*args):
         raise AssertionError("a grid was built")
     monkeypatch.setattr(cm, "_compose_once", no_grid)
-    monkeypatch.setattr(cm, "MAX_LOG2_GRID", 8)
+    monkeypatch.setattr(cm, "MAX_LOG2_GRID", 7)
     f = sa.TruncSeq(-20, np.ones(41))
-    with pytest.raises(AccuracyError, match="last difference inf"):
+    with pytest.raises(AccuracyError, match=r"no grid of at most 2\^7 points"):
         cm.compose_transform(f, cm.Blaschke(0.5))
+
+
+def test_cauchy_grid_is_the_smallest_power_of_two_within_the_bound(monkeypatch):
+    seen = []
+    assert cm._cauchy_grid(lambda M: seen.append(M) or 1.0 / M, 0.01) == (128, 1.0 / 128)
+    assert seen == [2, 4, 8, 16, 32, 64, 128]
+    monkeypatch.setattr(cm, "MAX_LOG2_GRID", 6)
+    assert cm._cauchy_grid(lambda M: 1.0 / M, 0.01) is None
+
+
+def test_no_certified_grid_refuses_before_any_sample(monkeypatch):
+    # the oversize probe (r = 0.99, n = 210) needs 2^16 points; under a 2^15 cap it
+    # certifies nothing, and the composition's rounding allowance is above 1e-20 on
+    # every grid, so neither samples the circle
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a sample was transformed")
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(cm, "MAX_LOG2_GRID", 15)
+    assert cm.certified_support(cm.Blaschke(0.99), 210, 300, 1e-10) is None
+    monkeypatch.setattr(cm, "MAX_LOG2_GRID", 20)
+    with pytest.raises(AccuracyError, match=r"no grid of at most 2\^20 points"):
+        cm.compose_transform(sa.delta(3), cm.Blaschke(0.5), cauchy_tol=1e-20)
+
+
+def test_compose_transform_samples_one_grid(monkeypatch):
+    grids = []
+    once = cm._compose_once
+    monkeypatch.setattr(cm, "_compose_once", lambda f, phi, M: grids.append(M) or once(f, phi, M))
+    for n in (25, -100, 400):
+        cm.compose_transform(sa.delta(n), cm.Blaschke(0.5))
+    assert grids == [512, 1024, 4096]
+
+
+def test_compose_of_a_constant_is_the_constant():
+    g, err = cm._composed(sa.delta(0, 2.5), cm.Blaschke(0.7), 1e-15)
+    assert g.lo == 0 and g.values.tolist() == [2.5] and g.values.dtype == np.complex128
+    assert err == 0.0
 
 
 def test_compose_with_identity_map_is_identity():

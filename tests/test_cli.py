@@ -134,6 +134,16 @@ def test_weights_check_names_the_pair_of_the_max_ratio(capsys):
         "submultiplicative: False (max excess 201, max ratio 4 at (-1, -1))"
 
 
+def test_weights_check_report_names_the_pair_of_each_maximum(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    assert main(["weights-check", "--weight", '{"family": "polynomial", "a": 2}', "--p", "1",
+                 "--out", str(out_file)]) == 0
+    sub = json.loads(out_file.read_text())["submultiplicative"]
+    assert sub["max_excess"] == 201 and sub["max_ratio"] == 4
+    assert sorted(map(abs, sub["argmax_excess"])) == [1, 100]
+    assert sub["argmax_ratio"] == [-1, -1] and "argmax" not in sub
+
+
 def test_weights_check_descriptor_from_file(tmp_path, capsys):
     desc = tmp_path / "w.json"
     desc.write_text('{"family": "subexp", "gamma": 0.5}')

@@ -190,6 +190,25 @@ def test_oversize_request_is_refused_before_the_first_power(monkeypatch, r):
     assert steps == [] and yields == []
 
 
+def test_r_near_one_request_is_refused_before_the_first_power(monkeypatch):
+    # test_matrix_entry_cap's request; the grid of its probe comes from the Cauchy bound
+    phi = cm.Blaschke(0.999)
+    lo, hi = cm.certified_support(phi, 2, 4000, 1e-14)
+    assert lo == 0 and (hi + 1) * 8001 > co.MAX_MATRIX_ENTRIES
+    steps, yields = count_steps(monkeypatch), []
+    running = co.running_powers
+
+    def counted(*args, **kwargs):
+        for cur in running(*args, **kwargs):
+            yields.append(1)
+            yield cur
+
+    monkeypatch.setattr(co, "running_powers", counted)
+    with pytest.raises(SizeError, match="x8001 entries"):
+        co.build_matrix(phi, (-4000, 4000), tol=1e-14)
+    assert steps == [] and yields == []
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_a_bad_tolerance_is_refused_before_the_sampled_column(tol):
     with pytest.raises(ParameterError, match="positive finite tolerance"):
@@ -511,6 +530,14 @@ def test_chain_rule_constant_sequence_is_exact():
     rep = co.chain_rule_check(sa.delta(0, 5.0), cm.Blaschke(0.4), tol=1e-12)
     assert rep.residual_l1 < rep.tol
     assert rep.residual_l1 < 1e-12
+
+
+@pytest.mark.parametrize("r", [0.3, -0.6, 0.0])
+def test_chain_rule_residual_is_within_its_bound(r):
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        rep = co.chain_rule_check(random_seq(rng, -12, 9), cm.Blaschke(r))
+        assert 0.0 < rep.residual_l1 <= rep.bound < rep.tol
 
 
 def test_op_norm_truncation_stability():

@@ -6,6 +6,8 @@ b_r(z)^n = (z - r)^n (1 - r z)^(-n), so for n >= 1 the coefficient of z^k is
 
 which ``fractions.Fraction`` evaluates for rational r with no rounding at
 all.  Negative powers are the conjugate reflections of the positive ones.
+For long columns the same numbers come from the three-term recurrence of
+the differential equation (z - r)(1 - r z) f' = n (1 - r^2) f, exactly too.
 The oracle shares nothing with the FFT convolution of the production route
 or with the circle-sampling oracle, so the gaps below are the true rounding
 and truncation error of ``power_coeffs`` and ``build_matrix``.
@@ -38,6 +40,18 @@ def exact_power(r: Fraction, n: int, rows: int) -> list[Fraction]:
             for k in range(rows + 1)]
 
 
+def exact_power_by_recurrence(r: Fraction, n: int, rows: int) -> list[Fraction]:
+    """``exact_power`` in O(rows) steps, for r != 0, by the recurrence
+
+    r (k+1) c_(k+1) = ((1 + r^2) k - n (1 - r^2)) c_k - r (k-1) c_(k-1).
+    """
+    c = [(-r) ** n, -n * (1 - r * r) * (-r) ** n / r]
+    for k in range(1, rows):
+        c.append((((1 + r * r) * k - n * (1 - r * r)) * c[k] - r * (k - 1) * c[k - 1])
+                 / (r * (k + 1)))
+    return c[:rows + 1]
+
+
 CASES = [(Fraction(3, 10), 200), (Fraction(1, 2), 300)]
 IDS = ["r=3/10", "r=1/2"]
 
@@ -56,6 +70,37 @@ def test_oracle_hand_values():
     assert exact_power(r, 1, 3) == [-r, 1 - r * r, (1 - r * r) * r, (1 - r * r) * r * r]
     # b_r^2 = r^2 - 2 r (1 - r^2) z + ...
     assert exact_power(r, 2, 1) == [r * r, -2 * r * (1 - r * r)]
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(-3, 10), Fraction(9, 10)])
+def test_recurrence_oracle_is_the_closed_form(r):
+    for n in (1, 2, 7, 25):
+        assert exact_power_by_recurrence(r, n, 60) == exact_power(r, n, 60)
+
+
+@pytest.fixture(scope="module")
+def exact_half():
+    """The exact columns of b_(1/2)^n, n = 2, 25, 400, on rows 0..4095, rounded to float.
+
+    By the Cauchy bound, rows past 4095 hold less than 1e-300 of any of them.
+    """
+    return {n: np.array([float(c) for c in exact_power_by_recurrence(Fraction(1, 2), n, 4095)])
+            for n in (2, 25, 400)}
+
+
+@pytest.mark.parametrize("n", [2, -2, 25, -25, 400, -400])
+@pytest.mark.parametrize("w", [None, wt.polynomial(1.0)], ids=["l1", "derivative"])
+def test_one_grid_composition_is_within_its_stated_bound(exact_half, n, w):
+    # the untrimmed sample of delta_n o b_(1/2) against the exact column, in l1 and under
+    # the weight 1 + |k| that bounds the chain rule's derivative
+    g, bound = cm._composed(sa.delta(n), cm.Blaschke(0.5), 1e-9, w)
+    col = sa.TruncSeq(0, exact_half[abs(n)])
+    if n < 0:
+        col = cm.reflect_conj(col)
+    diff = g - col
+    weight = np.ones(len(diff.values)) if w is None else w.eval_array(diff.indices())
+    err = float(np.sum(weight * np.abs(diff.values)))
+    assert 0.0 < err <= bound
 
 
 @pytest.mark.parametrize("n", [-16, 16])

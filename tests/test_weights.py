@@ -119,6 +119,17 @@ def test_polynomial_fails_submultiplicativity_at_unit_pair():
     assert abs(rep.argmax[0]) == 1 and abs(rep.argmax[1]) == 1
 
 
+def test_polynomial_excess_is_reported_at_its_own_pair():
+    # the ratio peaks at 4 on (-1, -1), where the excess is only w(-2) - w(-1)^2 = 3;
+    # the excess peaks at 201 = w(101) - w(1) w(100), on a pair such as (-1, -100)
+    w = wt.polynomial(2.0)
+    rep = wt.check_submultiplicative(w, window=100)
+    x, y = rep.argmax_excess
+    assert rep.max_excess == 201.0 == w.eval(x + y) - w.eval(x) * w.eval(y)
+    assert sorted(map(abs, (x, y))) == [1, 100] and x * y > 0
+    assert rep.argmax == (-1, -1)
+
+
 def test_exppoly_is_weakly_submultiplicative_with_constant_two():
     # a^{|m+n|} factor is exact; (1+(m+n)^2) <= 2(1+m^2)(1+n^2)
     rep = wt.check_submultiplicative(wt.exppoly(2.0), window=50)

@@ -7,8 +7,9 @@ Two trees compute the same numbers exactly when their digests match::
 Each digest covers the raw bytes, dtype and index window of every
 result in its group; ``refusals`` covers whether ``build_matrix`` raises
 SizeError on each request of ``REFUSALS`` under its entry cap, so equal
-digests there mean the same requests are refused.  ``all`` covers the
-groups together.
+digests there mean the same requests are refused, and ``support`` covers
+the hull ``certified_support`` returns (or None) for each column that
+those requests probe.  ``all`` covers the groups together.
 """
 
 from __future__ import annotations
@@ -37,16 +38,18 @@ def _seq(f: sa.TruncSeq) -> bytes:
     return struct.pack("<q", f.lo) + str(f.values.dtype).encode() + f.values.tobytes()
 
 
-def _refuses(r: float, n_range: tuple[int, int], cap: int) -> bool:
-    default = co.MAX_MATRIX_ENTRIES
+def _refuses(r: float, n_range: tuple[int, int], cap: int, hulls: list) -> bool:
+    """Whether the request is refused; the hull of each probed column is appended to ``hulls``."""
+    default, probe = co.MAX_MATRIX_ENTRIES, co.certified_support
     co.MAX_MATRIX_ENTRIES = cap
+    co.certified_support = lambda *args: hulls.append(probe(*args)) or hulls[-1]
     try:
         co.build_matrix(cm.Blaschke(r), n_range)
         return False
     except SizeError:
         return True
     finally:
-        co.MAX_MATRIX_ENTRIES = default
+        co.MAX_MATRIX_ENTRIES, co.certified_support = default, probe
 
 
 def groups() -> dict[str, list[bytes]]:
@@ -64,7 +67,9 @@ def groups() -> dict[str, list[bytes]]:
                              for col, err in [cm.weighted_power(b, n, w, 1e-10)]]
     out["compose_transform"] = [_seq(cm.compose_transform(sa.delta(n), b))
                                 for n in (-400, -25, 25, 400)]
-    out["refusals"] = [struct.pack("<?", _refuses(*req)) for req in REFUSALS]
+    hulls: list = []
+    out["refusals"] = [struct.pack("<?", _refuses(*req, hulls)) for req in REFUSALS]
+    out["support"] = [b"none" if hull is None else struct.pack("<qq", *hull) for hull in hulls]
     return out
 
 
