@@ -71,8 +71,9 @@ def coeffs(phi: Blaschke, tol: float = 1e-12) -> TruncSeq:
 
     For b_r these are -r at index 0 and (1 - r^2) r^(k-1) at k >= 1
     (geometric expansion of the Cauchy kernel); exact for b_0.
-    Every Blaschke coefficient route starts here, so this is where a
-    tolerance that is not positive and finite is refused.
+    Every Blaschke coefficient route starts here or at
+    ``derivative_coeffs``; both refuse a tolerance that is not positive
+    and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"Blaschke coefficients need a positive finite tolerance, got {tol:g}")
@@ -99,6 +100,8 @@ def _geom_cutoff(x: float, scale: float, tol: float) -> int:
 
 def derivative_coeffs(phi: Blaschke, tol: float = 1e-12) -> TruncSeq:
     """Coefficients of phi'; for b_r these are (1 - r^2)(k+1) r^k, k >= 0."""
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"Blaschke coefficients need a positive finite tolerance, got {tol:g}")
     r = phi.r
     if r == 0.0:
         return delta(0)

@@ -141,8 +141,8 @@ def _cmd_group_scan(args) -> tuple[int, dict]:
 
 
 def _cmd_weights_check(args) -> tuple[int, dict]:
-    if not args.p >= 1.0:
-        raise ParameterError(f"the norm exponent must satisfy p >= 1, got {args.p}")
+    if not 1.0 <= args.p < np.inf:
+        raise ParameterError(f"the norm exponent must satisfy 1 <= p < inf, got {args.p}")
     text = args.weight
     try:
         if text.startswith("@"):

@@ -7,8 +7,10 @@ norm ratios against several weights, runs the norm blow-up and
 distortion experiments, and checks the derivative chain rule.
 
 Each matrix column is within a stated l1 distance of the exact power
-(``build_matrix``); ``op_norm_l2`` returns a lower bound of the norm of
-the computed matrix up to rounding; ``column_ratio`` certifies its ratio.
+(``build_matrix``); ``op_norm_l2``, under an even weight, solves the
+even and odd blocks read off the nonnegative quadrant of the matrix and
+returns a lower bound of the norm of the computed matrix up to rounding;
+``column_ratio`` certifies its ratio.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def standard_automorphism(f: TruncSeq, lam: complex, reflect: bool = False) -> T
     weight; powers of lam are taken through the phase so unimodularity
     is exact to rounding.
     """
-    if abs(abs(complex(lam)) - 1.0) > 1e-12:
+    if not abs(abs(complex(lam)) - 1.0) <= 1e-12:
         raise ParameterError("lam must be unimodular")
     if f.is_zero:
         return f
@@ -261,62 +263,52 @@ NORM_RESIDUAL_TOL = 1e-10
 def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
     """Largest singular value of the weighted truncation of C_phi.
 
-    Columns are the powers phi^n for |n| <= N from ``build_matrix`` at its
-    default tolerance; the weighted matrix is A = D_out M D_in^{-1} with
-    diagonal weights on the output window (the union of the column
-    supports) and input window.  A is real.
+    The truncation is A = D_out M D_in^{-1}: M has the columns phi^n for
+    |n| <= N (``build_matrix`` at its default tolerance) on the rows
+    -m..m they reach, and the diagonal weights are w on those rows and on
+    -N..N.  A is real.  The weight must be even there, w(-k) = w(k), or
+    a :class:`ParameterError` is raised.
 
-    When its row window is -m..m and A[-k, -n] = A[k, n] exactly (a
-    Blaschke map under any even weight), A commutes with the flip
-    (Jf)(n) = f(-n) and maps even sequences to even ones and odd to odd.  Then A is orthogonally equivalent to the direct sum of two
-    blocks: the even block on the orthonormal bases e_0, (e_n + e_-n)/sqrt 2,
-    of size (m+1) x (N+1), and the odd block on (e_n - e_-n)/sqrt 2, of
-    size m x N.  Each is solved on its own and the larger value returned;
-    any other matrix is solved as a single block.
+    Column -n is column n on reversed rows, so A[-k, -n] = A[k, n]: A
+    commutes with the flip (Jf)(n) = f(-n) and is orthogonally equivalent
+    to the direct sum of its even block, on the orthonormal bases e_0,
+    (e_n + e_-n)/sqrt 2, and its odd block, on (e_n - e_-n)/sqrt 2.
+    Column n >= 0 lives on the rows k >= 0 and column -n on the rows
+    k <= 0, so both blocks are read off the quadrant Q of rows 0..m and
+    columns 0..N, the only part built: the even block is Q with row 0
+    times sqrt 2 on the columns n >= 1 ((m+1) x (N+1); column 0 is e_0),
+    and the odd block is Q without row and column 0 (m x N, empty at
+    N = 0).  The larger of their values is returned.
 
-    Each block is B = P^T A Q, where the orthonormal columns of Q and P
-    are its input and output bases (identities for a single block); A
-    maps the span of Q into that of P, and A^T back.  The unit top
-    eigenvector v of the Gram matrix B^T B (dense symmetric eigen-solve)
-    gives sigma = ||B v|| = ||A Q v|| with Q v a unit vector, so the
-    returned value never exceeds ||A|| up to rounding: it is a lower
-    bound of the norm of the computed matrix, not of the exact truncation.
-    The pair is checked by the residual ||B^T u - sigma v|| with u = B v /
-    sigma, which equals the residual of the pair (P u, Q v) of A and so
-    bounds the distance from sigma to a singular value of A (Golub & Van
-    Loan, ch. 8); an :class:`AccuracyError` is raised when it exceeds
+    Each block is B = P^T A R, where the orthonormal columns of R and P
+    are its input and output bases; A maps the span of R into that of P,
+    and A^T back.  The unit top eigenvector v of the Gram matrix B^T B
+    (dense symmetric eigen-solve) gives sigma = ||B v|| = ||A R v|| with
+    R v a unit vector, so the returned value never exceeds ||A|| up to
+    rounding: it is a lower bound of the norm of the computed matrix, not
+    of the exact truncation.  The pair is checked by the residual
+    ||B^T u - sigma v|| with u = B v / sigma, which equals the residual of
+    the pair (P u, R v) of A and so bounds the distance from sigma to a
+    singular value of A (Golub & Van Loan, ch. 8); an
+    :class:`AccuracyError` is raised when it exceeds
     ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix has norm 0.
     """
     if N < 0:
         raise ParameterError("N must be nonnegative")
-    mat = build_matrix(phi, (-N, N))
-    rows_idx = np.arange(mat.m_lo, mat.m_hi + 1)
-    cols_idx = np.arange(-N, N + 1)
+    mat = build_matrix(phi, (0, N))
+    A = mat.entries
+    rows_idx, cols_idx = np.arange(mat.m_hi + 1), np.arange(N + 1)
     w_out = wt.check_range(w.eval_array(rows_idx), rows_idx, "on the output window")
     w_in = wt.check_range(w.eval_array(cols_idx), cols_idx, "on the input window")
-    A = mat.entries
-    m, symmetric_window = mat.m_hi, mat.m_lo == -mat.m_hi
-    del mat
+    if not (np.array_equal(w.eval_array(-rows_idx), w_out)
+            and np.array_equal(w.eval_array(-cols_idx), w_in)):
+        raise ParameterError("op_norm_l2 needs an even weight, w(-k) = w(k), "
+                             f"on the rows -{mat.m_hi}..{mat.m_hi} and columns -{N}..{N}")
     A *= w_out[:, None]
     A /= w_in[None, :]
-    if symmetric_window and np.array_equal(A, A[::-1, ::-1]):
-        blocks = _flip_blocks(A, m, N)
-    else:
-        blocks = [A]
-    del A
-    # the odd block is empty at N = 0
-    return max(_top_singular_value(B) for B in blocks if B.size)
-
-
-def _flip_blocks(A: np.ndarray, m: int, N: int) -> list[np.ndarray]:
-    """Even and odd blocks of a flip-symmetric A in the orthonormal bases."""
-    # rows 0..m against columns n = 0..N and n = 0, -1, ..., -N
-    plus, minus = A[m:, N:], A[m:, N::-1]
-    even = plus + minus
-    even[0] *= math.sqrt(0.5)
-    even[:, 0] *= math.sqrt(0.5)
-    even[0, 0] = plus[0, 0]  # e_0 to e_0: the entry itself, not 2 A[0, 0] sqrt(0.5)^2
-    return [even, plus[1:, 1:] - minus[1:, 1:]]
+    A[0, 1:] *= math.sqrt(2.0)
+    odd = A[1:, 1:]
+    return max(_top_singular_value(A), _top_singular_value(odd) if odd.size else 0.0)
 
 
 def _top_singular_value(B: np.ndarray) -> float:

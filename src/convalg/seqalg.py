@@ -161,6 +161,8 @@ class _RightMultiplier:
         return self._spectrum
 
     def __call__(self, f: TruncSeq, method: str = "auto", budget: float = 0.0) -> TruncSeq:
+        if method not in ("auto", "direct", "fft"):
+            raise ParameterError(f"unknown convolution method {method!r}")
         g = self.g
         if f.is_zero or g.is_zero:
             return TruncSeq(0, np.zeros(0, dtype=np.result_type(f.values, g.values)))
@@ -172,14 +174,12 @@ class _RightMultiplier:
             method = "direct" if short else "fft"
         if method == "direct":
             out = np.convolve(f.values, g.values)
-        elif method == "fft":
+        else:
             nfft = 1 << (out_len - 1).bit_length()
             real = not (np.iscomplexobj(f.values) or np.iscomplexobj(g.values))
             G = self._g_spectrum(nfft, real)
             F = G if f is g else _dft(f.values, nfft, real)
             out = (np.fft.irfft(F * G, nfft) if real else np.fft.ifft(F * G))[:out_len]
-        else:
-            raise ParameterError(f"unknown convolution method {method!r}")
         return l1_trimmed(f.lo + g.lo, out, budget)
 
 

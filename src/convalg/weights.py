@@ -340,8 +340,8 @@ def algebra_constant(w: Weight, p: float, window: int) -> AlgebraConstantReport:
     window could add to any ratio (4 * sum_{j>=1} w(j)^-q for the
     monotone built-in families; 0 on finite groups).
     """
-    if not p > 1.0:
-        raise ParameterError(f"the algebra constant needs p > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"the algebra constant needs a finite p > 1, got {p}")
     q = p / (p - 1.0)
     if w.group is not None:
         G = w.group

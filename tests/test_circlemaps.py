@@ -101,6 +101,13 @@ def test_derivative_coefficients_match_closed_form():
         assert err < 1e-10
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_derivative_coefficients_refuse_a_bad_tolerance(tol):
+    # a negative tol never ended the cut-off loop; nan ended it at once
+    with pytest.raises(ParameterError):
+        cm.derivative_coeffs(cm.Blaschke(0.3), tol)
+
+
 def test_reflect_conj_realizes_reciprocal_on_the_circle():
     # on |z|=1, conj(f(z)) = (reflect_conj f)(z) since conj(z) = 1/z
     rng = np.random.default_rng(0)

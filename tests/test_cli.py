@@ -211,6 +211,13 @@ def test_invalid_sizes_and_tolerances_exit_one(capsys, argv):
     assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
 
 
+def test_weights_check_refuses_an_infinite_p_before_the_scan(monkeypatch, capsys):
+    monkeypatch.setattr(weights, "check_submultiplicative", None)  # not reached
+    assert main(["weights-check", "--weight", '{"family":"polynomial","a":2}', "--p", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParameterError: ") and err.count("\n") == 1
+
+
 def test_weights_check_refuses_a_window_above_the_cap(capsys):
     # refused before the (2W+1)^2 pair table, which would take terabytes
     assert main(["weights-check", "--weight", '{"family":"polynomial","a":2}',

@@ -34,8 +34,9 @@ def test_standard_automorphism_hand_values():
 
 
 def test_standard_automorphism_requires_unimodular_lambda():
-    with pytest.raises(ParameterError):
-        co.standard_automorphism(sa.delta(0), 0.9)
+    for lam in (0.9, float("nan"), complex(float("nan"), 1.0)):
+        with pytest.raises(ParameterError):
+            co.standard_automorphism(sa.delta(0), lam)
 
 
 def test_standard_automorphism_is_isometric_and_multiplicative():
@@ -458,14 +459,19 @@ def test_op_norm_splits_a_flip_symmetric_matrix(monkeypatch):
     assert sizes == [33, 32]
 
 
-def test_op_norm_solves_an_asymmetric_weight_whole(monkeypatch):
+def test_op_norm_refuses_an_asymmetric_weight_before_any_solve(monkeypatch):
     # w(n) = exp(n / 100) on -100..100 covers the rows -79..79 of b_0.2 at N = 32
     w = wt.tabulated(np.exp(0.01 * np.arange(-100, 101)), lo=-100)
-    phi = cm.Blaschke(0.2)
-    top = np.linalg.svd(weighted_matrix(phi, w, 32), compute_uv=False)[0]
     sizes = recorded_eigh_sizes(monkeypatch)
-    assert co.op_norm_l2(phi, w, 32) == pytest.approx(top, rel=1e-10)
-    assert sizes == [65]
+    with pytest.raises(ParameterError, match="even weight"):
+        co.op_norm_l2(cm.Blaschke(0.2), w, 32)
+    assert sizes == []
+
+
+def test_op_norm_builds_the_nonnegative_columns_only(monkeypatch):
+    calls = recorded_calls(monkeypatch, "build_matrix")
+    co.op_norm_l2(cm.Blaschke(0.2), wt.polynomial(2.0), 32)
+    assert calls == [(cm.Blaschke(0.2), (0, 32))]
 
 
 @pytest.mark.parametrize("w", [wt.subexp(0.5), wt.exppoly(1.5), wt.constant()],

@@ -177,6 +177,8 @@ def test_result_length_cap():
 def test_unknown_method_rejected():
     with pytest.raises(ParameterError):
         sa.convolve(sa.delta(0), sa.delta(0), method="karatsuba")
+    with pytest.raises(ParameterError):  # also when a factor is zero
+        sa.convolve(sa.TruncSeq(0, []), sa.delta(1), "bogus")
 
 
 @pytest.mark.parametrize("budget", [-1.0, -1e-300, float("nan"), -float("inf")])

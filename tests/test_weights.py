@@ -250,6 +250,8 @@ def test_algebra_constant_unweighted_grows_linearly():
 def test_algebra_constant_requires_p_above_one():
     with pytest.raises(ParameterError):
         wt.algebra_constant(wt.polynomial(2.0), 1.0, 50)
+    with pytest.raises(ParameterError):  # q = p / (p - 1) would be inf / inf = nan
+        wt.algebra_constant(wt.polynomial(2.0), float("inf"), 50)
 
 
 OVERFLOWING = [wt.exppoly(1e10),                # a^|n| overflows on the window

@@ -9,7 +9,9 @@ result in its group; ``refusals`` covers whether ``build_matrix`` raises
 SizeError on each request of ``REFUSALS`` under its entry cap, so equal
 digests there mean the same requests are refused, and ``support`` covers
 the hull ``certified_support`` returns (or None) for each column that
-those requests probe.  ``all`` covers the groups together.
+those requests probe, and ``op_norm_l2`` covers the norms at the
+``distortion`` defaults and at the ``unweighted-exact-norm`` check's
+inputs.  ``all`` covers the groups together.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ def groups() -> dict[str, list[bytes]]:
     hulls: list = []
     out["refusals"] = [struct.pack("<?", _refuses(*req, hulls)) for req in REFUSALS]
     out["support"] = [b"none" if hull is None else struct.pack("<qq", *hull) for hull in hulls]
+    out["op_norm_l2"] = [struct.pack("<d", co.op_norm_l2(cm.Blaschke(r), poly, 256))
+                         for r in (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)]
+    out["op_norm_l2"] += [struct.pack("<d", co.op_norm_l2(cm.Blaschke(0.3), const, N))
+                          for N in (32, 128, 512)]
     return out
 
 
