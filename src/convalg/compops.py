@@ -8,9 +8,9 @@ distortion experiments, and checks the derivative chain rule.
 
 Each matrix column is within a stated l1 distance of the exact power
 (``build_matrix``); ``op_norm_l2``, under an even weight, solves the
-even and odd blocks read off the nonnegative quadrant of the matrix and
-returns a lower bound of the norm of the computed matrix up to rounding;
-``column_ratio`` certifies its ratio.
+even block read off the nonnegative quadrant of the matrix (the odd
+block is its submatrix) and returns a lower bound of the norm of the
+computed matrix up to rounding; ``column_ratio`` certifies its ratio.
 """
 
 from __future__ import annotations
@@ -275,23 +275,24 @@ def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
     (e_n + e_-n)/sqrt 2, and its odd block, on (e_n - e_-n)/sqrt 2.
     Column n >= 0 lives on the rows k >= 0 and column -n on the rows
     k <= 0, so both blocks are read off the quadrant Q of rows 0..m and
-    columns 0..N, the only part built: the even block is Q with row 0
+    columns 0..N, the only part built: the even block B is Q with row 0
     times sqrt 2 on the columns n >= 1 ((m+1) x (N+1); column 0 is e_0),
-    and the odd block is Q without row and column 0 (m x N, empty at
-    N = 0).  The larger of their values is returned.
+    and the odd block, Q without row and column 0, is B without them.
+    A submatrix's norm never exceeds the matrix's (singular values
+    interlace, R. C. Thompson 1972), so ||A|| = ||B||: B alone is solved.
 
-    Each block is B = P^T A R, where the orthonormal columns of R and P
-    are its input and output bases; A maps the span of R into that of P,
-    and A^T back.  The unit top eigenvector v of the Gram matrix B^T B
-    (dense symmetric eigen-solve) gives sigma = ||B v|| = ||A R v|| with
-    R v a unit vector, so the returned value never exceeds ||A|| up to
-    rounding: it is a lower bound of the norm of the computed matrix, not
-    of the exact truncation.  The pair is checked by the residual
-    ||B^T u - sigma v|| with u = B v / sigma, which equals the residual of
-    the pair (P u, R v) of A and so bounds the distance from sigma to a
-    singular value of A (Golub & Van Loan, ch. 8); an
-    :class:`AccuracyError` is raised when it exceeds
-    ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix has norm 0.
+    B = P^T A R, where the orthonormal columns of R and P are its input
+    and output bases; A maps the span of R into that of P, and A^T back.
+    The unit top eigenvector v of the Gram matrix B^T B (dense symmetric
+    eigen-solve) gives sigma = ||B v|| = ||A R v|| with R v a unit
+    vector, so the returned value never exceeds ||A|| up to rounding: it
+    is a lower bound of the norm of the computed matrix, not of the exact
+    truncation.  The pair is checked by the residual ||B^T u - sigma v||
+    with u = B v / sigma, which equals the residual of the pair
+    (P u, R v) of A and so bounds the distance from sigma to a singular
+    value of A (Golub & Van Loan, ch. 8); an :class:`AccuracyError` is
+    raised when it exceeds ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix
+    has norm 0.
     """
     if N < 0:
         raise ParameterError("N must be nonnegative")
@@ -307,8 +308,7 @@ def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
     A *= w_out[:, None]
     A /= w_in[None, :]
     A[0, 1:] *= math.sqrt(2.0)
-    odd = A[1:, 1:]
-    return max(_top_singular_value(A), _top_singular_value(odd) if odd.size else 0.0)
+    return _top_singular_value(A)
 
 
 def _top_singular_value(B: np.ndarray) -> float:

@@ -194,11 +194,11 @@ class StandardIso:
             raise ParameterError("phi does not preserve the group law")
         if gamma.shape != (n,):
             raise CharacterError("gamma must have one value per element")
-        if np.any(np.abs(gamma) < 1e-300):
-            raise CharacterError("gamma must be nonvanishing")
+        if not np.all(np.abs(gamma) >= 1e-300):
+            raise CharacterError("gamma must be nonvanishing (and not NaN)")
         prod = gamma[self.source.table]
         outer = gamma[:, None] * gamma[None, :]
-        if np.max(np.abs(prod - outer)) > 1e-12 * max(1.0, float(np.max(np.abs(outer)))):
+        if not np.max(np.abs(prod - outer)) <= 1e-12 * max(1.0, float(np.max(np.abs(outer)))):
             raise CharacterError("gamma is not multiplicative")
         phi.setflags(write=False)
         gamma.setflags(write=False)
@@ -226,17 +226,12 @@ class HomReport:
 
 def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup,
                             tol: float = 1e-10) -> HomReport:
-    """Exhaustive check of T(delta_a * delta_b) = T delta_a * T delta_b."""
+    """Exhaustive check of T(delta_a * delta_b) = T delta_a * T delta_b; a NaN defect fails."""
     T = np.asarray(T, dtype=np.complex128)
     if T.shape != (H.order, G.order):
         raise ParameterError("matrix shape must be (|H|, |G|)")
-    worst = 0.0
-    for a in range(G.order):
-        Ta = T[:, a]
-        for b in range(G.order):
-            lhs = T[:, G.table[a, b]]
-            rhs = convolve_group(Ta, T[:, b], H)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    worst = float(np.max([np.abs(T[:, G.table[a, b]] - convolve_group(T[:, a], T[:, b], H))
+                          for a in range(G.order) for b in range(G.order)]))
     return HomReport(worst <= tol, worst)
 
 
@@ -352,7 +347,8 @@ def enumerate_l2_automorphisms(n: int) -> AutomorphismScan:
     the standard ones are exactly the affine permutations
     j -> a j + k with gcd(a, n) = 1 (n * phi(n) of them).  Verifies the
     homomorphism and isometry defects on all n! permutations; the example
-    is the first non-affine one in lexicographic order.
+    is the first non-affine one in lexicographic order.  A block whose
+    homomorphism defect is above ``HOM_DEFECT_TOL``, or NaN, is refused.
     """
     check_scan_order(n)
     total = standard = 0
@@ -361,13 +357,14 @@ def enumerate_l2_automorphisms(n: int) -> AutomorphismScan:
     for sigmas, T, affine in _dual_permutation_blocks(n):
         total += len(sigmas)
         standard += int(np.count_nonzero(affine))
-        max_def = max(max_def, _hom_defect_cyclic(T))
+        defect = _hom_defect_cyclic(T)
+        if not defect <= HOM_DEFECT_TOL:
+            raise ParameterError(f"homomorphism defect {defect:g} above {HOM_DEFECT_TOL:g}")
+        max_def = max(max_def, defect)
         max_iso = max(max_iso, float(np.max(np.abs(T.conj().transpose(0, 2, 1) @ T - np.eye(n)))))
         if example is None and not affine.all():
             i = int(np.argmin(affine))
             example, example_sigma = T[i].copy(), tuple(int(v) for v in sigmas[i])
-    if max_def > HOM_DEFECT_TOL:
-        raise ParameterError(f"homomorphism defect {max_def:g} above {HOM_DEFECT_TOL:g}")
     return AutomorphismScan(n, total, standard, total - standard, max_def,
                             max_iso, example_sigma, example)
 
@@ -388,7 +385,8 @@ def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:
     (affine) automorphisms are phased permutations of the group domain
     and have norm 1; the scan reports the smallest nonstandard norm and
     whether every automorphism with norm below the threshold is standard.
-    All n! permutations are scanned; a NaN threshold is refused first.
+    All n! permutations are scanned; a NaN threshold is refused first,
+    and a NaN norm when its block is reached.
     """
     check_scan_order(n)
     if math.isnan(threshold):
@@ -396,6 +394,8 @@ def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:
     min_nonstd, max_std = math.inf, 0.0
     for _, T, affine in _dual_permutation_blocks(n):
         norms = np.abs(T).sum(axis=1).max(axis=1)
+        if np.isnan(norms).any():
+            raise ParameterError("an l1 norm of the scan is nan")
         max_std = max(max_std, float(norms.max(initial=0.0, where=affine)))
         min_nonstd = min(min_nonstd, float(norms.min(initial=math.inf, where=~affine)))
     return SmallNormReport(n, threshold, None if min_nonstd == math.inf else min_nonstd,

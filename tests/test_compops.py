@@ -435,7 +435,7 @@ def test_op_norm_rejects_overflowing_weight():
 
 
 def test_op_norm_at_the_smallest_truncations():
-    # at N = 0 the odd block is empty and is skipped
+    # at N = 0 the matrix is the 1 x 1 identity
     w = wt.polynomial(2.0)
     assert co.op_norm_l2(cm.Blaschke(0.3), w, 0) == 1.0
     assert co.op_norm_l2(cm.Blaschke(0.3), w, 1) == pytest.approx(1.7403135843503, abs=1e-12)
@@ -453,10 +453,24 @@ def recorded_eigh_sizes(monkeypatch):
     return sizes
 
 
-def test_op_norm_splits_a_flip_symmetric_matrix(monkeypatch):
+def test_op_norm_solves_the_even_block_alone(monkeypatch):
     sizes = recorded_eigh_sizes(monkeypatch)
     co.op_norm_l2(cm.Blaschke(0.2), wt.polynomial(2.0), 32)
-    assert sizes == [33, 32]
+    assert sizes == [33]
+
+
+@pytest.mark.parametrize("w", [wt.polynomial(2.0), wt.subexp(0.5), wt.exppoly(1.5),
+                               wt.constant()],
+                         ids=["polynomial", "subexp", "exppoly", "constant"])
+@pytest.mark.parametrize("r", [0.2, -0.2, 0.3, 0.6])
+def test_op_norm_bounds_the_odd_block(r, w):
+    # rows k >= 1 and columns n >= 1 are the odd block, a submatrix of the even one
+    phi = cm.Blaschke(r)
+    for N in (1, 32, 64):
+        A = weighted_matrix(phi, w, N)
+        odd = np.linalg.svd(A[A.shape[0] // 2 + 1:, N + 1:], compute_uv=False)[0]
+        assert odd <= co.op_norm_l2(phi, w, N) * (1.0 + 1e-13)
+    assert co.op_norm_l2(phi, w, 0) == 1.0
 
 
 def test_op_norm_refuses_an_asymmetric_weight_before_any_solve(monkeypatch):

@@ -172,6 +172,12 @@ def test_standard_iso_validation():
                        np.ones(4) * 2.0)  # not multiplicative into units: 2*2 != 2
 
 
+def test_standard_iso_refuses_a_nan_character():
+    G = ga.cyclic(5)
+    with pytest.raises(CharacterError):
+        ga.StandardIso(G, G, range(5), [math.nan] * 5)
+
+
 def test_standard_isos_are_homomorphisms():
     cases = []
     z6, z8, s3 = ga.cyclic(6), ga.cyclic(8), ga.symmetric3()
@@ -195,6 +201,15 @@ def test_non_homomorphism_detected():
     rep = ga.is_algebra_homomorphism(T, G, G, tol=1e-10)
     assert not rep.is_homomorphism
     assert rep.max_defect > 0.5
+
+
+def test_nan_entry_is_not_a_homomorphism():
+    G = ga.cyclic(4)
+    T = np.eye(4, dtype=complex)
+    T[3, 3] = math.nan
+    rep = ga.is_algebra_homomorphism(T, G, G, tol=1e-10)
+    assert not rep.is_homomorphism
+    assert math.isnan(rep.max_defect)
 
 
 # ---------------------------------------------------------------- rigidity
@@ -258,8 +273,8 @@ def test_nonstandard_example_is_the_first_non_affine_permutation(n):
     assert np.array_equal(scan.nonstandard_example, single)
 
 
-def test_enumerate_checks_the_last_permutation_of_the_last_block(monkeypatch):
-    n = 6
+def edit_the_last_permutation(monkeypatch, n, edit):
+    """Apply ``edit`` to the scans' matrix of the last permutation of Z_n; returns block sizes."""
     last = tuple(range(n - 1, -1, -1))
     original = ga._fourier_conjugated
     perturbed = []
@@ -267,14 +282,33 @@ def test_enumerate_checks_the_last_permutation_of_the_last_block(monkeypatch):
     def kernel(sigmas, F):
         T = original(sigmas, F)
         if tuple(sigmas[-1]) == last:
-            T[-1] *= 1.0 + 1e-6             # breaks T(d_a * d_b) = T d_a * T d_b
+            edit(T[-1])
             perturbed.append(len(sigmas))
         return T
 
     monkeypatch.setattr(ga, "_fourier_conjugated", kernel)
+    return perturbed
+
+
+def test_enumerate_checks_the_last_permutation_of_the_last_block(monkeypatch):
+    # scaling breaks T(d_a * d_b) = T d_a * T d_b
+    perturbed = edit_the_last_permutation(monkeypatch, 6,
+                                           lambda T: np.multiply(T, 1.0 + 1e-6, out=T))
     with pytest.raises(ParameterError):
-        ga.enumerate_l2_automorphisms(n)
+        ga.enumerate_l2_automorphisms(6)
     assert len(perturbed) == 1 and perturbed[0] > 1   # one block, not one permutation
+
+
+def test_enumerate_refuses_a_nan_in_the_last_block(monkeypatch):
+    edit_the_last_permutation(monkeypatch, 6, lambda T: T.fill(math.nan))
+    with pytest.raises(ParameterError, match="nan"):
+        ga.enumerate_l2_automorphisms(6)
+
+
+def test_small_norm_scan_refuses_a_nan_in_the_last_block(monkeypatch):
+    edit_the_last_permutation(monkeypatch, 6, lambda T: T.fill(math.nan))
+    with pytest.raises(ParameterError, match="nan"):
+        ga.small_norm_scan(6)
 
 
 def test_enumerate_z4_census():

@@ -9,9 +9,11 @@ result in its group; ``refusals`` covers whether ``build_matrix`` raises
 SizeError on each request of ``REFUSALS`` under its entry cap, so equal
 digests there mean the same requests are refused, and ``support`` covers
 the hull ``certified_support`` returns (or None) for each column that
-those requests probe, and ``op_norm_l2`` covers the norms at the
+those requests probe, ``op_norm_l2`` covers the norms at the
 ``distortion`` defaults and at the ``unweighted-exact-norm`` check's
-inputs.  ``all`` covers the groups together.
+inputs, and ``census`` covers every field of the automorphism census of
+Z_n for n = 1..8 and the norms of the l1 small-norm scan for n = 3..8.
+``all`` covers the groups together.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from convalg import circlemaps as cm
 from convalg import compops as co
+from convalg import groupalg as ga
 from convalg import seqalg as sa
 from convalg import weights as wt
 from convalg.errors import SizeError
@@ -38,6 +41,23 @@ REFUSALS += [(r, (-300, 300), co.MAX_MATRIX_ENTRIES) for r in (0.99, -0.99)]
 
 def _seq(f: sa.TruncSeq) -> bytes:
     return struct.pack("<q", f.lo) + str(f.values.dtype).encode() + f.values.tobytes()
+
+
+def _census(n: int) -> bytes:
+    scan = ga.enumerate_l2_automorphisms(n)
+    head = struct.pack("<qqqqdd", scan.n, scan.total, scan.standard_count, scan.nonstandard_count,
+                       scan.max_hom_defect, scan.max_isometry_defect)
+    if scan.nonstandard_example is None:
+        return head + b"none"
+    ex = scan.nonstandard_example
+    return (head + struct.pack(f"<{n}q", *scan.nonstandard_example_sigma)
+            + str(ex.dtype).encode() + ex.tobytes())
+
+
+def _norm_scan(n: int) -> bytes:
+    rep = ga.small_norm_scan(n)
+    low = b"none" if rep.min_nonstandard_norm is None else struct.pack("<d", rep.min_nonstandard_norm)
+    return low + struct.pack("<d?", rep.max_standard_norm, rep.all_below_threshold_standard)
 
 
 def _refuses(r: float, n_range: tuple[int, int], cap: int, hulls: list) -> bool:
@@ -76,6 +96,7 @@ def groups() -> dict[str, list[bytes]]:
                          for r in (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)]
     out["op_norm_l2"] += [struct.pack("<d", co.op_norm_l2(cm.Blaschke(0.3), const, N))
                           for N in (32, 128, 512)]
+    out["census"] = [_census(n) for n in range(1, 9)] + [_norm_scan(n) for n in range(3, 9)]
     return out
 
 
