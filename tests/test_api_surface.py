@@ -26,7 +26,6 @@ MODULES = ("weights", "seqalg", "circlemaps", "compops", "groupalg")
 ALLOWED = {
     "circlemaps.derivative_values": "closed-form oracle for derivative_coeffs in the tests",
     "groupalg.delta_func": "point-mass fixture of the group-algebra tests",
-    "seqalg.TruncSeq.same": "exact-equality helper of the tests",
 }
 
 # reports the CLI writes whole, through dataclasses.fields/asdict: each

@@ -1,11 +1,13 @@
 """Command-line driver: exit codes, report files, determinism."""
 
 import argparse
+import dataclasses
+import itertools
 import json
 
 import pytest
 
-from convalg import __version__, checks, groupalg, weights
+from convalg import __version__, checks, compops, groupalg, weights
 from convalg.cli import _build_parser, main
 from convalg.errors import SizeError
 
@@ -292,6 +294,21 @@ def test_chain_rule_pass_and_fail(capsys):
                  "--seed", "1"]) == 0
     assert main(["chain-rule", "--count", "3", "--support", "10",
                  "--tol", "1e-300"]) == 1
+
+
+@pytest.mark.parametrize("residual", [lambda rep: float("nan"), lambda rep: 2.0 * rep.bound],
+                         ids=["nan", "twice-its-bound"])
+def test_chain_rule_fails_as_its_check_does(monkeypatch, capsys, residual):
+    # the second of three reports: Python max would drop a NaN there
+    real, calls = compops.chain_rule_check, itertools.count()
+
+    def check(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, residual_l1=residual(rep)) if next(calls) == 1 else rep
+
+    monkeypatch.setattr(compops, "chain_rule_check", check)
+    assert main(["chain-rule", "--count", "3", "--support", "10"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  chain rule on 3 random sequences")
 
 
 def test_usage_error_exits_two(capsys):

@@ -12,8 +12,9 @@ the hull ``certified_support`` returns (or None) for each column that
 those requests probe, ``op_norm_l2`` covers the norms at the
 ``distortion`` defaults and at the ``unweighted-exact-norm`` check's
 inputs, and ``census`` covers every field of the automorphism census of
-Z_n for n = 1..8 and the norms of the l1 small-norm scan for n = 3..8.
-``all`` covers the groups together.
+Z_n for n = 1..8 and the norms of the l1 small-norm scan for n = 3..8,
+and ``verify`` covers the name, verdict and detail line of every check
+``convalg verify`` runs.  ``all`` covers the groups together.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import struct
 
 import numpy as np
 
+from convalg import checks
 from convalg import circlemaps as cm
 from convalg import compops as co
 from convalg import groupalg as ga
@@ -97,6 +99,8 @@ def groups() -> dict[str, list[bytes]]:
     out["op_norm_l2"] += [struct.pack("<d", co.op_norm_l2(cm.Blaschke(0.3), const, N))
                           for N in (32, 128, 512)]
     out["census"] = [_census(n) for n in range(1, 9)] + [_norm_scan(n) for n in range(3, 9)]
+    out["verify"] = [json.dumps([res.name, res.passed, res.detail]).encode()
+                     for res in checks.run("all")]
     return out
 
 
