@@ -65,10 +65,10 @@ def submultiplicativity_families() -> str:
     _require(con.submultiplicative, "the constant weight is not submultiplicative")
     poly = wt.check_submultiplicative(wt.polynomial(2.0), window=40)
     _require(not poly.submultiplicative and abs(poly.max_ratio - 4.0) < 1e-12,
-             f"polynomial(2) max ratio {poly.max_ratio:g}, expected 4")
+             f"polynomial(2) max ratio {poly.max_ratio:.17g}, expected 4")
     ep = wt.check_submultiplicative(wt.exppoly(2.0), window=40)
     _require(not ep.submultiplicative and ep.max_ratio <= 2.0 + 1e-12,
-             f"exppoly(2) max ratio {ep.max_ratio:g}, expected at most 2")
+             f"exppoly(2) max ratio {ep.max_ratio:.17g}, expected at most 2")
     return "subexp exact; polynomial/exppoly weakly submultiplicative"
 
 
@@ -260,9 +260,10 @@ def unweighted_exact_norm() -> str:
     """
     exact = np.sqrt(13.0 / 7.0)
     norms = [co.op_norm_l2(cm.Blaschke(0.3), wt.constant(), N) for N in (32, 128, 512)]
+    shown = ", ".join(f"{v:.17g}" for v in norms)
     _require(norms[0] < norms[1] < norms[2] <= exact * (1.0 + 1e-12),
-             f"norms {norms} not increasing to at most {exact!r}")
-    _require(exact - norms[2] < 1e-5, f"N=512 norm {norms[2]!r} is {exact - norms[2]:g} short")
+             f"norms {shown} not increasing to at most {exact:.17g}")
+    _require(exact - norms[2] < 1e-5, f"N=512 norm {norms[2]:.17g} is {exact - norms[2]:g} short")
     return (", ".join(f"{v:.6f}" for v in norms)
             + f" at N = 32, 128, 512; exact {exact:.6f}")
 

@@ -235,21 +235,52 @@ def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup,
     return HomReport(worst <= tol, worst)
 
 
-def _hom_defect_cyclic(T: np.ndarray) -> float:
+def _hom_defect_cyclic(T: np.ndarray, pairs: tuple, work: tuple) -> float:
     """Largest homomorphism defect over a (B, n, n) stack of matrices on Z_n.
 
     T delta_a * T delta_b - T delta_{a+b} is the inverse DFT over j of
     V_a V_b - V_{a+b}, V_a the DFT of column a.  Pairs a > b are skipped:
     floating-point products commute, so their defects equal (b, a)'s.
+    ``pairs`` and ``work`` come from ``_defect_workspace`` once per scan:
+    the index arrays a, b and (a + b) mod n of the n(n+1)/2 pairs, and
+    two complex buffers of n(n+1)/2 * B * n entries that every block
+    reuses for the three pair gathers, the inverse DFT and the modulus
+    (and then ``_isometry_defect`` for its own).  Beyond them a block
+    allocates only V, n * B * n entries laid out (a, B, j) so that the
+    gathers copy whole rows.
     """
-    n = T.shape[-1]
-    V = np.fft.fft(T.transpose(0, 2, 1), axis=-1)            # (B, a, j)
+    B, n = len(T), T.shape[-1]
+    V = np.fft.fft(T.transpose(2, 0, 1), axis=-1)            # (a, B, j)
+    a, b, s = pairs
+    size = len(a) * B * n
+    D, E = (w[:size].reshape(len(a), B, n) for w in work)
+    np.take(V, a, axis=0, out=D, mode="clip")
+    D *= np.take(V, b, axis=0, out=E, mode="clip")
+    D -= np.take(V, s, axis=0, out=E, mode="clip")
+    np.fft.ifft(D, axis=-1, out=E)
+    return float(np.abs(E, out=work[0].view(np.float64)[:size].reshape(D.shape)).max())
+
+
+def _isometry_defect(T: np.ndarray, eye: np.ndarray, work: tuple) -> float:
+    """Largest entry of |T_i^H T_i - I| over the stack, in the buffers of ``_hom_defect_cyclic``.
+
+    The conjugate keeps T's (a, B, x) layout and the product is C-ordered,
+    as in ``T.conj().transpose(0, 2, 1) @ T``, so the matrix products see
+    the same operands and return the same bits.
+    """
+    B, n = len(T), T.shape[-1]
+    size = B * n * n
+    conj = np.conjugate(T.transpose(2, 0, 1), out=work[1][:size].reshape(n, B, n))
+    gram = np.matmul(conj.transpose(1, 0, 2), T, out=work[0][:size].reshape(B, n, n))
+    gram -= eye
+    return float(np.abs(gram, out=work[1].view(np.float64)[:size].reshape(B, n, n)).max())
+
+
+def _defect_workspace(n: int) -> tuple[tuple, tuple]:
+    """The pairs and the two work buffers of ``_hom_defect_cyclic``, for blocks of Z_n."""
     a, b = np.triu_indices(n)
-    # in place: a fresh temporary this size exceeds glibc's mmap threshold
-    D = V[:, a, :]
-    D *= V[:, b, :]
-    D -= V[:, (a + b) % n, :]
-    return float(np.max(np.abs(np.fft.ifft(D, axis=-1))))
+    size = len(a) * _block_size(n) * n
+    return (a, b, (a + b) % n), (np.empty(size, np.complex128), np.empty(size, np.complex128))
 
 
 # ---------------------------------------------------------------------
@@ -280,7 +311,9 @@ def translation_rigidity_check(G: FiniteGroup) -> bool:
 # ---------------------------------------------------------------------
 
 
-_BLOCK_ENTRIES = 16384  # bound on B * n**3; the hom defect of B perms is B n^2 (n+1)/2 entries
+# bound on B * n**3, B permutations per block: the census's two work buffers
+# hold n(n+1)/2 * B * n complex entries each, about 440 KB at n = 7, 8 and 9
+_BLOCK_ENTRIES = 49152
 HOM_DEFECT_TOL = 1e-10  # largest homomorphism defect the census accepts
 
 
@@ -290,14 +323,24 @@ def check_scan_order(n: int) -> None:
         raise SizeError(f"factorial scans are capped at 1 <= n <= 9, got {n}")
 
 
+def _block_size(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n ** 3)
+
+
 def _fourier_conjugated(sigmas: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The (B, n, n) stack T_i = F^{-1} P_sigma F, sigma = sigmas[i], (P_sigma v)(j) = v(sigma(j))."""
-    return np.fft.ifft(F[sigmas], axis=1)
+    """The (B, n, n) stack T_i = F^{-1} P_sigma F, sigma = sigmas[i], (P_sigma v)(j) = v(sigma(j)).
+
+    ``F`` is the DFT matrix.  The stack is a transposed view of a
+    contiguous (a, B, x) array: column a of every T_i is one contiguous
+    row, so this inverse DFT and the defect's DFTs run along the last axis.
+    """
+    C = np.take(F.T, sigmas, axis=1)                          # C[a, i, j] = F[sigma_i(j), a]
+    return np.fft.ifft(C, axis=-1, out=C).transpose(1, 2, 0)
 
 
 def affine_mask(sigmas: np.ndarray, n: int) -> np.ndarray:
     """Which rows sigma of a (B, n) array are j -> (a j + k) mod n with gcd(a, n) = 1."""
-    sigmas = np.asarray(sigmas)
+    sigmas = np.asarray(sigmas, dtype=np.intp)
     if n == 1:
         return np.ones(len(sigmas), dtype=bool)
     k = sigmas[:, 0]
@@ -309,9 +352,10 @@ def affine_mask(sigmas: np.ndarray, n: int) -> np.ndarray:
 def _dual_permutation_blocks(n: int):
     """All n! permutations in lexicographic order as (sigmas, T, affine) blocks."""
     F = np.fft.fft(np.eye(n), axis=0)
-    perms = itertools.permutations(range(n))
-    while block := list(itertools.islice(perms, max(1, _BLOCK_ENTRIES // n ** 3))):
-        sigmas = np.asarray(block, dtype=np.intp)
+    entries = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    step = _block_size(n) * n
+    while (flat := np.fromiter(itertools.islice(entries, step), np.intp)).size:
+        sigmas = flat.reshape(-1, n)
         yield sigmas, _fourier_conjugated(sigmas, F), affine_mask(sigmas, n)
 
 
@@ -354,14 +398,16 @@ def enumerate_l2_automorphisms(n: int) -> AutomorphismScan:
     total = standard = 0
     max_def = max_iso = 0.0
     example = example_sigma = None
+    pairs, work = _defect_workspace(n)
+    eye = np.eye(n)
     for sigmas, T, affine in _dual_permutation_blocks(n):
         total += len(sigmas)
         standard += int(np.count_nonzero(affine))
-        defect = _hom_defect_cyclic(T)
+        defect = _hom_defect_cyclic(T, pairs, work)
         if not defect <= HOM_DEFECT_TOL:
             raise ParameterError(f"homomorphism defect {defect:g} above {HOM_DEFECT_TOL:g}")
         max_def = max(max_def, defect)
-        max_iso = max(max_iso, float(np.max(np.abs(T.conj().transpose(0, 2, 1) @ T - np.eye(n)))))
+        max_iso = max(max_iso, _isometry_defect(T, eye, work))
         if example is None and not affine.all():
             i = int(np.argmin(affine))
             example, example_sigma = T[i].copy(), tuple(int(v) for v in sigmas[i])
@@ -393,7 +439,13 @@ def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:
         raise ParameterError("the norm threshold must be a number, got nan")
     min_nonstd, max_std = math.inf, 0.0
     for _, T, affine in _dual_permutation_blocks(n):
-        norms = np.abs(T).sum(axis=1).max(axis=1)
+        # rows summed in order: np.sum along T's contiguous row axis would
+        # sum pairwise from n = 8 on and move norms in the last bit
+        A = np.abs(T)
+        cols = A[:, 0].copy()
+        for row in A.transpose(1, 0, 2)[1:]:
+            cols += row
+        norms = cols.max(axis=1)
         if np.isnan(norms).any():
             raise ParameterError("an l1 norm of the scan is nan")
         max_std = max(max_std, float(norms.max(initial=0.0, where=affine)))

@@ -144,12 +144,37 @@ def test_every_check_has_a_case():
                          [(c, m, s, w, word) for c, _, m, s, w, word in CASES],
                          ids=[f"{c}-{label}" for c, label, *_ in CASES])
 def test_check_fails_on_the_injected_fault(monkeypatch, check, module, subject, wrap, word):
+    result = run_injected(monkeypatch, check, module, subject, wrap)
+    assert not result.passed and word in result.detail, result.detail
+
+
+def run_injected(monkeypatch, check, module, subject, wrap):
+    """Run ``check`` alone with ``wrap`` around its subject; returns its result."""
     namespace = types.SimpleNamespace(**vars(getattr(checks, module)))
     setattr(namespace, subject, wrap(getattr(namespace, subject)))
     monkeypatch.setattr(checks, module, namespace)
     monkeypatch.setattr(checks, "CHECKS", [e for e in checks.CHECKS if e[1] == check])
     [result] = checks.run("all")
-    assert not result.passed and word in result.detail, result.detail
+    return result
+
+
+def test_the_ratio_failure_prints_the_ratio_in_full(monkeypatch):
+    ratio = run_injected(monkeypatch, "submultiplicativity-families", "wt",
+                         "check_submultiplicative",
+                         edit(lambda rep, *args: dataclasses.replace(rep, max_ratio=4.0 + 1.1e-12)))
+    assert float(ratio.detail.split("max ratio ")[1].split(",")[0]) == 4.0 + 1.1e-12, ratio.detail
+
+
+@pytest.mark.parametrize("at_512_only", [True, False])
+def test_the_exact_norm_failures_print_plain_numbers(monkeypatch, at_512_only):
+    short = float(EXACT_NORM - 1.1e-5)
+    norm = run_injected(monkeypatch, "unweighted-exact-norm", "co", "op_norm_l2",
+                        lambda fn: lambda phi, w, N: short if N == 512 or not at_512_only
+                        else fn(phi, w, N))
+    if at_512_only:
+        assert float(norm.detail.split("N=512 norm ")[1].split()[0]) == short, norm.detail
+    else:
+        assert norm.detail.startswith(f"norms {short!r}, {short!r}, {short!r} not"), norm.detail
 
 
 @pytest.mark.parametrize("module", ["checks", "cli"])

@@ -252,6 +252,34 @@ def test_affine_mask_matches_the_literal_definition(n):
     assert mask.tolist() == [p in affine for p in perms]
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_affine_mask_takes_unsigned_permutations(n, dtype):
+    # (sigma(1) - sigma(0)) % n must not wrap around in the input's dtype
+    perms = list(itertools.permutations(range(n)))
+    affine = _literal_affine(n)
+    mask = ga.affine_mask(np.asarray(perms, dtype=dtype), n)
+    assert mask.tolist() == [p in affine for p in perms]
+
+
+def _scan_fields(n):
+    scan, rep = ga.enumerate_l2_automorphisms(n), ga.small_norm_scan(n)
+    fields = asdict(scan)
+    return fields.pop("nonstandard_example"), fields, asdict(rep)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("entries", [lambda n: 1, lambda n: 10 ** 6, lambda n: 11 * n ** 3],
+                         ids=["one-permutation", "large", "short-last-block"])
+def test_scans_do_not_depend_on_the_block_size(monkeypatch, n, entries):
+    example, census, norms = _scan_fields(n)
+    monkeypatch.setattr(ga, "_BLOCK_ENTRIES", entries(n))
+    assert math.factorial(n) % 11                         # blocks of 11 leave a short one
+    blocked_example, blocked_census, blocked_norms = _scan_fields(n)
+    assert np.array_equal(blocked_example, example)
+    assert (blocked_census, blocked_norms) == (census, norms)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_census_counts_every_permutation(n):
     scan = ga.enumerate_l2_automorphisms(n)
