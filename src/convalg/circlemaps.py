@@ -314,8 +314,8 @@ def _cauchy_tail(x: float, n: int, w: Weight, K: int) -> float:
 
     The bound of ``_power_rows``: M(rho)^n ``geometric_tail(w, 1/rho, K)``
     at the rho minimising rho^-K M(rho)^n; inf when K <= n (1 + x)/(1 - x)
-    or no tail is found.  Where the tail underflows to 0 the product is
-    formed in logarithms, so M(rho)^n is never dropped.  As M(rho) >= 1,
+    or no tail is found.  The product is formed in logarithms, so M(rho)^n
+    is never dropped where the tail underflows.  As M(rho) >= 1,
     the bound at this rho also holds for every power below n.  z^n (x = 0)
     and 1 (n = 0) have one coefficient, and their tail is exact.
     """
@@ -326,14 +326,8 @@ def _cauchy_tail(x: float, n: int, w: Weight, K: int) -> float:
     if not (b > 0.0 and disc > 0.0):
         return math.inf
     rho = (b + math.sqrt(disc)) / (2.0 * K * x)
-    tail = geometric_tail(w, 1.0 / rho, K)
-    if tail == 0.0:
-        log_tail = geometric_tail(w, 1.0 / rho, K, log=True)
-    elif not tail < math.inf:
-        return tail
-    else:
-        log_tail = math.log(tail)
-    log_bound = n * math.log((rho - x) / (1.0 - x * rho)) + log_tail
+    log_bound = (n * math.log((rho - x) / (1.0 - x * rho))
+                 + geometric_tail(w, 1.0 / rho, K, log=True))
     return math.exp(log_bound) if log_bound < 700.0 else math.inf
 
 

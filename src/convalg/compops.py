@@ -1,10 +1,10 @@
 """Composition operators on weighted sequence spaces and experiments.
 
-The operator C_phi sends a sequence f to the coefficient sequence of
-f^ o phi.  Its matrix columns are the coefficient sequences of the
-powers phi^n.  This module builds truncated matrices, measures column
-norm ratios against several weights, runs the norm blow-up and
-distortion experiments, and checks the derivative chain rule.
+C_phi sends f to the coefficients of f^ o phi; its matrix columns are
+those of the powers phi^n.  This module builds truncated matrices,
+measures column norm ratios against several weights, runs the norm
+blow-up and distortion experiments (one norm per map, as C_{b_-r} is
+S C_{b_r} S for (Sf)(n) = (-1)^n f(n)), and checks the chain rule.
 
 Each matrix column is within a stated l1 distance of the exact power
 (``build_matrix``); ``op_norm_l2``, under an even weight, solves the
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .circlemaps import (Blaschke, _composed, certified_support, derivative_coeffs, power_coeffs,
+from .circlemaps import (Blaschke, _composed, certified_support, coeffs, derivative_coeffs,
                          power_l1_bound, running_powers, weighted_power)
-from .circlemaps import compose_transform  # noqa: F401  perfbench's tracer wraps it here
+from .circlemaps import compose_transform, power_coeffs  # noqa: F401  perfbench's tracer wraps them
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
 from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, l1_norm, weighted_norm
 
@@ -40,15 +40,16 @@ def standard_automorphism(f: TruncSeq, lam: complex, reflect: bool = False) -> T
 
     These are the isometric algebra automorphisms for every symmetric
     weight; powers of lam are taken through the phase so unimodularity
-    is exact to rounding.
+    is exact to rounding, and they are exactly +-1 at lam = +-1.
     """
     if not abs(abs(complex(lam)) - 1.0) <= 1e-12:
         raise ParameterError("lam must be unimodular")
     if f.is_zero:
         return f
     g = TruncSeq(-f.hi, f.values[::-1]) if reflect else f
-    theta = np.angle(complex(lam))
-    return TruncSeq(g.lo, g.values * np.exp(1j * theta * g.indices()))
+    if lam in (1, -1):
+        return TruncSeq(g.lo, g.values * np.where(g.indices() % 2, lam.real, 1.0))
+    return TruncSeq(g.lo, g.values * np.exp(1j * np.angle(complex(lam)) * g.indices()))
 
 
 # ---------------------------------------------------------------------
@@ -332,7 +333,7 @@ def _top_singular_value(B: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DistortionReport:
-    """Distortion of the isomorphism induced by one Blaschke map."""
+    """Distortion of one Blaschke isomorphism; ``norm_inv`` is ``norm_fwd``, by symmetry."""
 
     r: float
     N: int
@@ -346,9 +347,14 @@ def distortion_experiment(w: wt.Weight, r_list, N: int) -> list[DistortionReport
     """Distortion ||C_phi|| * ||C_phi^{-1}|| of the Blaschke isomorphisms.
 
     Requires the polynomial weight max(1, |n|^a) with integer a > 1.
-    The inverse of C_phi is C_psi for psi = b_{-r}, the inverse of
-    phi = b_r, and distortion >= 1 always; each report also notes the non-
-    standardness witness (column 1 has at least two sizable entries).
+    The inverse of C_phi, phi = b_r, is C_psi for psi(z) = b_{-r}(z) =
+    -b_r(-z): psi^n has (-1)^(k+n) times the coefficient k of phi^n, so
+    C_psi = S C_phi S for the isometry (Sf)(n) = (-1)^n f(n) of every
+    weighted l^p.  S commutes with the weights, so ``op_norm_l2``'s matrix
+    for psi is S A S for its A for phi, with the same singular values:
+    one norm is solved per r (the ``distortion-monotone`` check solves
+    both).  distortion >= 1 always; each report also notes the non-
+    standardness witness (column 1, phi itself, has two sizable entries).
     """
     if w.family != wt.POLYNOMIAL or w.param is None or \
             not float(w.param).is_integer() or not w.param > 1:
@@ -361,15 +367,13 @@ def distortion_experiment(w: wt.Weight, r_list, N: int) -> list[DistortionReport
 
     def one(r: float) -> DistortionReport:
         phi = Blaschke(r)
-        nf = op_norm_l2(phi, w, N)
-        ni = op_norm_l2(Blaschke(-r), w, N)
-        dist = nf * ni
+        norm = op_norm_l2(phi, w, N)
+        dist = norm * norm
         if dist < 1.0 - 1e-9:
             raise AccuracyError(f"distortion {dist} fell below 1 at r = {r}")
-        col1 = power_coeffs(phi, 1)
-        witness = int(np.sum(np.abs(col1.values) > 1e-12)) >= 2 if r > 0 else False
+        witness = int(np.sum(np.abs(coeffs(phi).values) > 1e-12)) >= 2 if r > 0 else False
         return DistortionReport(
-            r=r, N=int(N), norm_fwd=nf, norm_inv=ni, distortion=dist,
+            r=r, N=int(N), norm_fwd=norm, norm_inv=norm, distortion=dist,
             nonstandard_witness=witness)
 
     return [one(r) for r in rs]

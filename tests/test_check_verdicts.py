@@ -92,7 +92,7 @@ CASES = [
     ("blaschke-coefficients", "nan", "cm", "coeffs", edit(lambda c, *args: plus(c, NAN)), "nan"),
     ("blaschke-coefficients", "coefficient+1.1e-10", "cm", "coeffs",
      edit(lambda c, *args: plus(c, 1.1e-10)), "max error"),
-    ("power-pipeline-agreement", "nan", "co", "power_coeffs",
+    ("power-pipeline-agreement", "nan", "cm", "power_coeffs",
      edit(lambda a, *args: plus(a, NAN)), "nan"),
     # the binary power's own gap (up to 1.4e-13) could cancel 1.1 times the bound 1e-12 + b_err
     ("power-pipeline-agreement", "coefficient+2*bound", "cm", "_composed",
@@ -119,6 +119,9 @@ CASES = [
     ("distortion-monotone", "N=512 norm*(1+0.011)", "co", "distortion_experiment",
      edit(lambda reps, *args: [dataclasses.replace(rep, norm_fwd=rep.norm_fwd * 1.011)
                                for rep in reps], call=1), "relative norm gap"),
+    ("distortion-monotone", "norm(-r)*(1+1.1e-12)", "co", "op_norm_l2",
+     lambda fn: lambda phi, w, N: fn(phi, w, N) * (1 + 1.1e-12 if phi.r < 0 else 1.0),
+     "relative gap"),
     ("chain-rule", "nan", "co", "chain_rule_check", edit(fields(residual_l1=NAN), call=19), "nan"),
     ("chain-rule", "residual=1.1*bound", "co", "chain_rule_check",
      edit(lambda rep, *args: dataclasses.replace(rep, residual_l1=1.1 * rep.bound), call=19),

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import warnings
 
 import pytest
 
@@ -294,6 +295,14 @@ def test_chain_rule_pass_and_fail(capsys):
                  "--seed", "1"]) == 0
     assert main(["chain-rule", "--count", "3", "--support", "10",
                  "--tol", "1e-300"]) == 1
+
+
+def test_chain_rule_on_a_constant_is_silent(capsys):
+    # a constant composes exactly: its residual and its bound are both 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["chain-rule", "--support", "0", "--count", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("residual", [lambda rep: float("nan"), lambda rep: 2.0 * rep.bound],

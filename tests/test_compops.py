@@ -66,6 +66,16 @@ def test_reflection_is_an_involution():
     assert sa.l1_diff(twice, f) < 1e-14
 
 
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+@pytest.mark.parametrize("reflect", [False, True])
+def test_standard_automorphism_at_real_lambda_is_an_exact_sign_flip(lam, reflect):
+    f = sa.TruncSeq(-1000, np.random.default_rng(9).standard_normal(2001))
+    g = sa.TruncSeq(-1000, f.values[::-1]) if reflect else f
+    tf = co.standard_automorphism(f, lam, reflect)
+    assert tf.values.dtype == np.float64
+    assert tf.same(sa.TruncSeq(-1000, g.values * lam ** np.abs(g.indices())))
+
+
 # ------------------------------------------------------------ matrix columns
 
 
@@ -103,6 +113,18 @@ def test_entry_cap_refuses_exactly_the_oversize_builds(monkeypatch, r, n_range):
     capped = co.build_matrix(cm.Blaschke(r), n_range)
     assert (capped.m_lo, capped.m_hi) == (full.m_lo, full.m_hi)
     assert np.array_equal(capped.entries, full.entries)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
+def test_inverse_map_matrix_is_the_sign_conjugate(r):
+    # b_{-r}(z) = -b_r(-z), so C_{b_-r} = S C_{b_r} S for (Sf)(n) = (-1)^n f(n)
+    N, tol = 50, 1e-10
+    mat, neg = (co.build_matrix(cm.Blaschke(s), (-N, N), tol) for s in (r, -r))
+    assert (neg.m_lo, neg.m_hi) == (mat.m_lo, mat.m_hi)
+    signs = (-1.0) ** np.abs(np.arange(mat.m_lo, mat.m_hi + 1))
+    conjugated = signs[:, None] * mat.entries * (-1.0) ** np.abs(np.arange(-N, N + 1))
+    bound = cm.power_l1_bound(cm.Blaschke(r), N) * np.expm1(0.26 * tol)
+    assert np.all(np.sum(np.abs(neg.entries - conjugated), axis=0) <= 2.0 * bound)
 
 
 @pytest.mark.parametrize("r, N", [(0.5, 500), (0.9, 250)])
@@ -514,11 +536,12 @@ def test_distortion_experiment_small():
 
 
 def test_distortion_inverts_through_inverse_map(monkeypatch):
-    # the inverse operator's norm is taken at b_{-r}, the inverse map of b_r
+    # one solve per r, at b_r; the inverse map b_{-r} has the same norm, C_{b_-r} = S C_{b_r} S
     calls = recorded_calls(monkeypatch, "op_norm_l2")
     rep = co.distortion_experiment(wt.polynomial(2.0), [0.1], N=16)[0]
-    assert [args[0] for args in calls] == [cm.Blaschke(0.1), cm.Blaschke(-0.1)]
-    assert rep.norm_inv == co.op_norm_l2(cm.Blaschke(-0.1), wt.polynomial(2.0), 16)
+    assert [args[0] for args in calls] == [cm.Blaschke(0.1)]
+    assert rep.norm_inv == pytest.approx(
+        co.op_norm_l2(cm.Blaschke(-0.1), wt.polynomial(2.0), 16), rel=1e-12, abs=0.0)
 
 
 def test_distortion_refuses_a_bad_r_before_any_solve(monkeypatch):

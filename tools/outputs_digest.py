@@ -11,10 +11,12 @@ digests there mean the same requests are refused, and ``support`` covers
 the hull ``certified_support`` returns (or None) for each column that
 those requests probe, ``op_norm_l2`` covers the norms at the
 ``distortion`` defaults and at the ``unweighted-exact-norm`` check's
-inputs, and ``census`` covers every field of the automorphism census of
-Z_n for n = 1..9 and the norms of the l1 small-norm scan for n = 3..9,
-and ``verify`` covers the name, verdict and detail line of every check
-``convalg verify`` runs.  ``all`` covers the groups together.
+inputs, ``distortion`` covers every field of the four rows of
+``convalg distortion`` at its defaults, ``census`` covers every field
+of the automorphism census of Z_n for n = 1..9 and the norms of the l1
+small-norm scan for n = 3..9, and ``verify`` covers the name, verdict
+and detail line of every check ``convalg verify`` runs.  ``all`` covers
+the groups together.
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ def groups() -> dict[str, list[bytes]]:
                          for r in (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)]
     out["op_norm_l2"] += [struct.pack("<d", co.op_norm_l2(cm.Blaschke(0.3), const, N))
                           for N in (32, 128, 512)]
+    out["distortion"] = [struct.pack("<dqddd?", rep.r, rep.N, rep.norm_fwd, rep.norm_inv,
+                                     rep.distortion, rep.nonstandard_witness)
+                         for rep in co.distortion_experiment(poly, [0.02, 0.05, 0.1, 0.2], 256)]
     out["census"] = [_census(n) for n in range(1, 10)] + [_norm_scan(n) for n in range(3, 10)]
     out["verify"] = [json.dumps([res.name, res.passed, res.detail]).encode()
                      for res in checks.run("all")]
