@@ -59,13 +59,13 @@ def standard_automorphism(f: TruncSeq, lam: complex, reflect: bool = False) -> T
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix of C_phi on columns n_lo..n_hi, rows m_lo..m_hi."""
+    """Dense column-major matrix of C_phi on columns n_lo..n_hi, rows m_lo..m_hi."""
 
     n_lo: int
     n_hi: int
     m_lo: int
     m_hi: int
-    entries: np.ndarray  # shape (rows, cols), float64
+    entries: np.ndarray  # shape (rows, cols), float64, column-major (Fortran order)
 
 
 def build_matrix(phi: Blaschke, n_range: tuple[int, int],
@@ -114,7 +114,7 @@ def build_matrix(phi: Blaschke, n_range: tuple[int, int],
         if n_lo <= -n <= n_hi:
             m_lo, m_hi = min(m_lo, -cur.hi), max(m_hi, -cur.lo)
         _check_size(m_hi - m_lo + 1, ncols)
-    M = np.zeros((m_hi - m_lo + 1, ncols))
+    M = np.zeros((m_hi - m_lo + 1, ncols), order="F")  # each column write is contiguous
     for n in range(n_lo, n_hi + 1):
         c = powers[abs(n) - bottom]
         if c.is_zero:
@@ -298,7 +298,7 @@ def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
     if N < 0:
         raise ParameterError("N must be nonnegative")
     mat = build_matrix(phi, (0, N))
-    A = mat.entries
+    A = np.ascontiguousarray(mat.entries)  # C order: the rounding of B^T B follows the memory order
     rows_idx, cols_idx = np.arange(mat.m_hi + 1), np.arange(N + 1)
     w_out = wt.check_range(w.eval_array(rows_idx), rows_idx, "on the output window")
     w_in = wt.check_range(w.eval_array(cols_idx), cols_idx, "on the input window")

@@ -3,12 +3,15 @@
 ``TruncSeq`` stores coefficients on a contiguous index window of Z with
 exact zeros trimmed from both ends; the empty window is the zero
 sequence.  Real coefficients are stored as float64 and complex ones as
-complex128, and convolution keeps real data real (a real FFT when both
-factors are real), so the imaginary parts of real sequences stay exactly
-zero.  A product may carry an optional l1 budget, spent on its end
-coefficients before the product is stored.  Convolution, weighted
-p-norms, translation, the formal derivative/antiderivative pair and
-sampling of the associated Laurent series at roots of unity live here.
+complex128, always in a read-only copy: a float64 or complex128 array
+whose two end values are nonzero is only copied, any other input is
+converted and scanned for its nonzero window first.  Convolution keeps
+real data real (a real FFT when both factors are real), so the imaginary
+parts of real sequences stay exactly zero.  A product may carry an
+optional l1 budget, spent on its end coefficients before the product is
+stored.  Convolution, weighted p-norms, translation, the formal
+derivative/antiderivative pair and sampling of the associated Laurent
+series at roots of unity live here.
 """
 
 from __future__ import annotations
@@ -35,16 +38,16 @@ class TruncSeq:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
-        vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
+        vals, lo = self.values, self.lo
+        if type(vals) is not np.ndarray or vals.dtype not in (np.float64, np.complex128):
+            vals = np.asarray(vals)
+            vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
         if vals.ndim != 1:
             raise ParameterError("coefficients must form a one-dimensional array")
-        nz = np.nonzero(vals)[0]
-        if len(nz) == 0:
-            lo, vals = 0, vals[:0]
-        else:
-            lo = self.lo + int(nz[0])
-            vals = vals[nz[0]: nz[-1] + 1].copy()
+        if not (len(vals) and vals[0] and vals[-1]):  # an exact-zero end (or no value): trim
+            nz = np.nonzero(vals)[0]
+            lo, vals = (0, vals[:0]) if len(nz) == 0 else (lo + int(nz[0]), vals[nz[0]: nz[-1] + 1])
+        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "lo", int(lo))
         object.__setattr__(self, "values", vals)
@@ -117,12 +120,17 @@ def l1_diff(f: TruncSeq, g: TruncSeq) -> float:
 
 
 def l1_trimmed(lo: int, values: np.ndarray, budget: float) -> TruncSeq:
-    """``TruncSeq(lo, values)`` less end coefficients of l1 mass <= budget / 2 at each end."""
-    if budget <= 0.0:
+    """``TruncSeq(lo, values)`` less end coefficients of l1 mass <= budget / 2 at each end.
+
+    A budget that is not >= 0 (a NaN too) raises :class:`ParameterError`.
+    """
+    if not budget >= 0.0:
+        raise ParameterError(f"an l1 budget must be >= 0, got {budget}")
+    if budget == 0.0:
         return TruncSeq(lo, values)
-    mags = np.abs(values)
-    left = int(np.searchsorted(np.cumsum(mags), budget / 2.0, side="right"))
-    right = int(np.searchsorted(np.cumsum(mags[::-1]), budget / 2.0, side="right"))
+    mags, half = np.abs(values), budget / 2.0
+    left = int(mags.cumsum().searchsorted(half, side="right"))
+    right = int(mags[::-1].cumsum().searchsorted(half, side="right"))
     return TruncSeq(lo + left, values[left: len(mags) - right])
 
 
@@ -194,7 +202,10 @@ def _dft(values: np.ndarray, nfft: int, real: bool) -> np.ndarray:
 
 
 def weighted_norm(f: TruncSeq, p: float, w: Weight) -> float:
-    """(sum |f(n)|^p w(n)^p)^(1/p), computed scale-safely."""
+    """(sum |f(n)|^p w(n)^p)^(1/p), computed scale-safely.
+
+    A NaN coefficient raises :class:`ParameterError`, an overflow :class:`RangeError`.
+    """
     if not p >= 1.0:
         raise ParameterError(f"the norm exponent must satisfy p >= 1, got {p}")
     if f.is_zero:
@@ -205,9 +216,12 @@ def weighted_norm(f: TruncSeq, p: float, w: Weight) -> float:
         raise RangeError(f"weight overflow at index {bad}")
     t = np.abs(f.values) * wv
     m = float(np.max(t))
-    if m == 0.0 or not np.isfinite(m):
-        if not np.isfinite(m):
-            raise RangeError("weighted coefficient overflow")
+    if not np.isfinite(m):
+        nan = np.isnan(f.values)
+        if nan.any():
+            raise ParameterError(f"coefficient {f.lo + int(np.argmax(nan))} is nan")
+        raise RangeError("weighted coefficient overflow")
+    if m == 0.0:
         return 0.0
     return m * float(np.sum((t / m) ** p)) ** (1.0 / p)
 

@@ -82,9 +82,9 @@ class Weight:
                 bad = int(xs.flat[np.argmax((idx < 0) | (idx >= len(vals)))])
                 raise DomainError(f"index {bad} outside tabulated window")
             return vals[idx]
-        n = np.abs(xs.astype(float))
         if self.family == CONSTANT:
             return np.ones(xs.shape, dtype=float)
+        n = np.abs(xs.astype(float))
         # overflow deliberately propagates as inf; callers guard against
         # values beyond OVERFLOW_LIMIT with check_range
         with np.errstate(over="ignore"):

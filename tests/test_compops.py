@@ -127,6 +127,13 @@ def test_inverse_map_matrix_is_the_sign_conjugate(r):
     assert np.all(np.sum(np.abs(neg.entries - conjugated), axis=0) <= 2.0 * bound)
 
 
+@pytest.mark.parametrize("r, n_range", [(0.5, (-40, 40)), (0.9, (0, 30)), (-0.3, (-25, -3)),
+                                        (0.0, (-5, 5)), (0.7, (2, 2))])
+def test_build_matrix_entries_are_column_major(r, n_range):
+    mat = co.build_matrix(cm.Blaschke(r), n_range)
+    assert mat.entries.flags.f_contiguous
+
+
 @pytest.mark.parametrize("r, N", [(0.5, 500), (0.9, 250)])
 def test_blaschke_matrices_have_exactly_real_entries(r, N):
     # the complex FFT route left imaginary parts of 3.0e-15 and 1.9e-15 here
@@ -443,6 +450,19 @@ def test_op_norm_forward_equals_inverse(r):
     fwd = co.op_norm_l2(cm.Blaschke(r), w, 256)
     inv = co.op_norm_l2(cm.Blaschke(-r), w, 256)
     assert fwd == pytest.approx(inv, rel=1e-12)
+
+
+@pytest.mark.parametrize("r, w, N", [(0.1, wt.polynomial(2.0), 32), (-0.2, wt.polynomial(2.0), 32),
+                                     (0.05, wt.polynomial(2.0), 128), (0.5, wt.constant(), 32),
+                                     (-0.2, wt.constant(), 64)])
+def test_op_norm_solves_the_row_major_weighted_quadrant(r, w, N):
+    # the Gram product B^T B rounds by B's memory order; these cases move 1 ulp in Fortran order
+    mat = co.build_matrix(cm.Blaschke(r), (0, N))
+    rows, cols = np.arange(mat.m_hi + 1), np.arange(N + 1)
+    B = np.ascontiguousarray(mat.entries * w.eval_array(rows)[:, None] / w.eval_array(cols)[None, :])
+    B[0, 1:] *= np.sqrt(2.0)
+    assert B.flags.c_contiguous
+    assert co.op_norm_l2(cm.Blaschke(r), w, N) == co._top_singular_value(B)
 
 
 def test_op_norm_raises_when_the_residual_check_fails(monkeypatch):

@@ -86,6 +86,92 @@ def test_values_are_read_only():
         f.values[0] = 5.0
 
 
+def _literal_post_init(lo, values):
+    """(lo, values) as the scan-everything ``TruncSeq.__post_init__`` stored them."""
+    vals = np.asarray(values)
+    vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
+    if vals.ndim != 1:
+        raise ParameterError("coefficients must form a one-dimensional array")
+    nz = np.nonzero(vals)[0]
+    if len(nz) == 0:
+        lo, vals = 0, vals[:0]
+    else:
+        lo = lo + int(nz[0])
+        vals = vals[nz[0]: nz[-1] + 1].copy()
+    return int(lo), vals
+
+
+def _assert_stored_as_the_literal_scan(lo, values):
+    want_lo, want = _literal_post_init(lo, values)
+    before = np.array(values, copy=True)
+    f = sa.TruncSeq(lo, values)
+    assert f.lo == want_lo and type(f.lo) is int
+    assert f.values.dtype == want.dtype and f.values.tobytes() == want.tobytes()
+    assert not f.values.flags.writeable and f.values.flags.c_contiguous
+    if isinstance(values, np.ndarray):
+        assert not np.shares_memory(f.values, values)
+        if values.flags.writeable and values.size:
+            values[...] = 7
+            assert f.values.tobytes() == want.tobytes()
+            values[...] = before
+
+
+NAN, INF = float("nan"), float("inf")
+EDGE_VALUES = [
+    [], [0.0], [-0.0], [NAN], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [1.0, 2.0, 0.0],
+    [-0.0, 1.0, -0.0], [-0.0, 0.0, 5.0, 0.0, -0.0], [NAN, 0.0, 1.0], [0.0, NAN], [NAN, NAN],
+    [INF, 0.0, -INF], [1e-320, 3.0, -1e-320], [1j, 0.0, 2j], [0j, 1j, 0j], [complex(-0.0, 0.0), 1j],
+    [complex(0.0, -0.0), 3.0, 1j], [complex(NAN, 0.0), 0j], [1j, 2.0 + 0j], [3, 0, 4], [0, 5, 0],
+    [True, False, True], [False, True], [False, False]]
+
+
+@pytest.mark.parametrize("values", EDGE_VALUES)
+@pytest.mark.parametrize("form", ["list", "float64", "complex128", "native", "reversed_view"])
+def test_truncseq_stores_what_the_literal_scan_stored(values, form):
+    if form == "list":
+        given_values = list(values)
+    elif form == "native":
+        given_values = np.array(values)  # int64, bool, float64 or complex128 as written
+    else:
+        dtype = np.complex128 if form == "complex128" or np.iscomplexobj(values) else np.float64
+        given_values = np.array(values, dtype=dtype)
+        if form == "reversed_view":
+            given_values = given_values[::-1]
+    _assert_stored_as_the_literal_scan(-4, given_values)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1.0, 2.0], dtype=">f8"), np.array([0.0, 2.0, 0.0], dtype=">f8"),
+    np.arange(1.0, 9.0)[::3], np.ones(3, dtype=np.float32), np.array([1, 2], dtype=np.uint8),
+    np.array([1 + 1j, 2j], dtype=np.complex64), np.array([1.0, 2.0]).view(np.recarray)])
+def test_truncseq_converts_other_arrays_as_the_literal_scan_did(values):
+    _assert_stored_as_the_literal_scan(3, values)
+
+
+@pytest.mark.parametrize("values", [np.ones((2, 2)), np.ones((2, 2), dtype=np.complex128),
+                                    np.ones((1, 3)), [[1.0, 2.0]], np.float64(2.0),
+                                    np.array(0.0), np.zeros((0, 2))])
+def test_truncseq_refuses_what_is_not_one_dimensional(values):
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        _literal_post_init(0, values)
+    with pytest.raises(ParameterError, match="one-dimensional"):
+        sa.TruncSeq(0, values)
+
+
+end_values = st.sampled_from([0.0, -0.0, NAN, INF, 1.0, -2.5, 1e-310, 1j, complex(0.0, -0.0)])
+
+
+@given(st.integers(-50, 50), end_values, end_values,
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12),
+       st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_truncseq_equals_the_literal_scan_on_random_arrays(lo, first, last, middle,
+                                                          as_complex, one_value):
+    values = [first] if one_value else [first, *middle, last]
+    dtype = np.complex128 if as_complex or np.iscomplexobj(values) else np.float64
+    _assert_stored_as_the_literal_scan(lo, np.array(values, dtype=dtype))
+
+
 # --------------------------------------------------------------- convolution
 
 
@@ -230,6 +316,40 @@ def test_l1_trimmed_drops_the_most_it_may_at_each_end():
         np.testing.assert_array_equal(cut.values, vals[left: len(vals) - right])
 
 
+def _literal_l1_trimmed(lo, values, budget):
+    """The two-``np.cumsum`` formula of ``l1_trimmed``, for budgets >= 0."""
+    if budget <= 0.0:
+        return sa.TruncSeq(lo, values)
+    mags = np.abs(values)
+    left = int(np.searchsorted(np.cumsum(mags), budget / 2.0, side="right"))
+    right = int(np.searchsorted(np.cumsum(mags[::-1]), budget / 2.0, side="right"))
+    return sa.TruncSeq(lo + left, values[left: len(mags) - right])
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_l1_trimmed_equals_the_two_cumsum_formula_also_at_ties(complex_values):
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        vals = rng.standard_normal(int(rng.integers(1, 60))) * 10.0 ** rng.integers(-8, 3)
+        if complex_values:
+            vals = vals + 1j * rng.standard_normal(len(vals))
+        vals[rng.random(len(vals)) < 0.2] = 0.0
+        mags = np.abs(vals)
+        ties = [2.0 * np.cumsum(mags)[k] for k in rng.integers(0, len(vals), 2)]
+        ties += [2.0 * np.cumsum(mags[::-1])[k] for k in rng.integers(0, len(vals), 2)]
+        for budget in [0.0, 1e-300, float(rng.uniform(0.0, 2.5 * mags.sum())), *ties, np.inf]:
+            got, want = sa.l1_trimmed(-7, vals, budget), _literal_l1_trimmed(-7, vals, budget)
+            assert got.same(want) and got.values.dtype == want.values.dtype
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-300, -float("inf")])
+def test_l1_trimmed_refuses_a_budget_that_is_not_at_least_zero(budget):
+    # a NaN budget used to pass the "<= 0" test and trim every coefficient away
+    with pytest.raises(ParameterError, match="budget"):
+        sa.l1_trimmed(0, np.array([1.0, 2.0]), budget)
+
+
 # -------------------------------------------------------------------- norms
 
 
@@ -250,6 +370,24 @@ def test_weighted_norm_overflow_names_the_index():
     f = sa.delta(500)
     with pytest.raises(RangeError, match="500"):
         sa.weighted_norm(f, 1.0, wt.exppoly(10.0))
+
+
+@pytest.mark.parametrize("w", [wt.constant(), wt.polynomial(2.0), wt.exppoly(1.5)])
+@pytest.mark.parametrize("values, bad", [([1.0, np.nan, 2.0], 1), ([np.nan], 0),
+                                         ([1.0, 0.0, 2j, np.inf, complex(0.0, np.nan)], 4)])
+def test_weighted_norm_refuses_a_nan_coefficient_by_its_index(w, values, bad):
+    # it was reported as "weighted coefficient overflow"
+    for p in (1.0, 2.0):
+        with pytest.raises(ParameterError, match=f"coefficient {bad} is nan"):
+            sa.weighted_norm(sa.TruncSeq(0, values), p, w)
+
+
+@pytest.mark.parametrize("f", [sa.TruncSeq(10, [1e308]), sa.TruncSeq(-2, [1.0, -np.inf]),
+                               sa.TruncSeq(0, [1.0, complex(1.5e308, 1.5e308)])])
+def test_weighted_norm_reports_a_true_overflow_as_a_range_error(f):
+    # numpy also warns of the overflow it reaches in |f(n)| w(n)
+    with np.errstate(over="ignore"), pytest.raises(RangeError, match="coefficient overflow"):
+        sa.weighted_norm(f, 2.0, wt.polynomial(2.0))
 
 
 def test_weighted_norm_requires_p_at_least_one():

@@ -4,16 +4,19 @@ Two trees compute the same numbers exactly when their digests match::
 
     PYTHONPATH=src python3 tools/outputs_digest.py
 
-Each digest covers the raw bytes, dtype and index window of every
-result in its group; ``refusals`` covers whether ``build_matrix`` raises
+Each digest covers the raw bytes, dtype and index window of every result
+in its group; ``refusals`` covers whether ``build_matrix`` raises
 SizeError on each request of ``REFUSALS`` under its entry cap, so equal
 digests there mean the same requests are refused, and ``support`` covers
 the hull ``certified_support`` returns (or None) for each column that
 those requests probe, ``op_norm_l2`` covers the norms at the
 ``distortion`` defaults and at the ``unweighted-exact-norm`` check's
-inputs, ``distortion`` covers every field of the four rows of
-``convalg distortion`` at its defaults, ``census`` covers every field
-of the automorphism census of Z_n for n = 1..9 and the norms of the l1
+inputs, ``products`` covers ``seqalg.convolve`` on the direct and FFT
+routes, real and complex, at budgets 0, 1e-13 and above the product's
+mass, and ``l1_trimmed`` on arrays with zero ends at tied budgets,
+``distortion`` covers every field of the four rows of ``convalg
+distortion`` at its defaults, ``census`` covers every field of the
+automorphism census of Z_n for n = 1..9 and the norms of the l1
 small-norm scan for n = 3..9, and ``verify`` covers the name, verdict
 and detail line of every check ``convalg verify`` runs.  ``all`` covers
 the groups together.
@@ -45,6 +48,29 @@ REFUSALS += [(r, (-300, 300), co.MAX_MATRIX_ENTRIES) for r in (0.99, -0.99)]
 
 def _seq(f: sa.TruncSeq) -> bytes:
     return struct.pack("<q", f.lo) + str(f.values.dtype).encode() + f.values.tobytes()
+
+
+def _products() -> list[bytes]:
+    rng = np.random.default_rng(30)
+    decay = 0.7 ** np.arange(300)
+    real = [sa.TruncSeq(-9, rng.standard_normal(40) * decay[:40]),
+            sa.TruncSeq(4, rng.standard_normal(300) * decay[::-1]),
+            sa.TruncSeq(-600, rng.standard_normal(900))]
+    factors = real + [f * (0.5 - 2j) + sa.TruncSeq(f.lo, 1j * f.values[::-1]) for f in real]
+    out = []
+    for f in factors:
+        for g in factors:
+            above = 2.0 * sa.l1_norm(f) * sa.l1_norm(g)  # half of it is at least the product's mass
+            out += [_seq(sa.convolve(f, g, method, budget)) for method in ("direct", "fft")
+                    for budget in (0.0, 1e-13, above)]
+    edges = [np.array(v) for v in ([0.0, 0.0, 1.0, 2.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0],
+                                   [-0.0, 3.0, 0.5, -0.0], [0j, 1j, 2.0, 0j], [2.0, 0.0, 0.0, 2.0])]
+    edges += [rng.standard_normal(50) * 2.0 ** rng.integers(-30, 0, 50)]
+    for vals in edges:
+        sums = np.concatenate([np.cumsum(np.abs(vals)), np.cumsum(np.abs(vals[::-1]))])
+        out += [_seq(sa.l1_trimmed(-3, vals, budget))
+                for budget in (0.0, 1e-13, *(2.0 * sums), np.inf)]  # 2 * sums: ties
+    return out
 
 
 def _census(n: int) -> bytes:
@@ -96,6 +122,7 @@ def groups() -> dict[str, list[bytes]]:
     hulls: list = []
     out["refusals"] = [struct.pack("<?", _refuses(*req, hulls)) for req in REFUSALS]
     out["support"] = [b"none" if hull is None else struct.pack("<qq", *hull) for hull in hulls]
+    out["products"] = _products()
     out["op_norm_l2"] = [struct.pack("<d", co.op_norm_l2(cm.Blaschke(r), poly, 256))
                          for r in (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)]
     out["op_norm_l2"] += [struct.pack("<d", co.op_norm_l2(cm.Blaschke(0.3), const, N))
