@@ -298,7 +298,7 @@ def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
     if N < 0:
         raise ParameterError("N must be nonnegative")
     mat = build_matrix(phi, (0, N))
-    A = np.ascontiguousarray(mat.entries)  # C order: the rounding of B^T B follows the memory order
+    A = mat.entries
     rows_idx, cols_idx = np.arange(mat.m_hi + 1), np.arange(N + 1)
     w_out = wt.check_range(w.eval_array(rows_idx), rows_idx, "on the output window")
     w_in = wt.check_range(w.eval_array(cols_idx), cols_idx, "on the input window")
@@ -402,13 +402,14 @@ def chain_rule_check(f: TruncSeq, phi: Blaschke, tol: float = 1e-6) -> ChainRule
     as their rounding does.
 
     Each side is within a stated l1 distance of the exact derivative.
-    The left side's is the composition's error under the weight 1 + |k|,
-    which dominates the factor the derivative puts on row k.  The right
-    side's is h d - H D, for h = H + e the composed derivative (l1 error
-    at most e) and d the coefficients of phi' = D (l1 tail at most the
-    internal tolerance t): at most e ||d||_1 + (||h||_1 + e) t, plus the
-    product's rounding, allowed 64 u N ||h||_1 ||d||_1 for N terms and
-    u = 2^-53 (an FFT's or a direct sum's alike).
+    The left side's is the composition's error under the weight
+    max(1, |k|), which dominates the factor |k| the derivative puts on
+    row k.  The right side's is h d - H D, for h = H + e the composed
+    derivative (l1 error at most e) and d the coefficients of phi' = D
+    (l1 tail at most the internal tolerance t): at most
+    e ||d||_1 + (||h||_1 + e) t, plus the product's rounding, allowed
+    64 u N ||h||_1 ||d||_1 for N terms and u = 2^-53 (an FFT's or a
+    direct sum's alike).
     """
     ctol = min(tol * 1e-4, 1e-9)  # in this order a NaN tol stays NaN, which is refused
     df = formal_derivative(f)

@@ -218,21 +218,26 @@ def standard_iso_matrix(iso: StandardIso) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
+HOM_DEFECT_TOL = 1e-10  # largest defect is_algebra_homomorphism and the census accept
+
+
 @dataclass(frozen=True)
 class HomReport:
     is_homomorphism: bool
     max_defect: float
 
 
-def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup,
-                            tol: float = 1e-10) -> HomReport:
-    """Exhaustive check of T(delta_a * delta_b) = T delta_a * T delta_b; a NaN defect fails."""
+def is_algebra_homomorphism(T: np.ndarray, G: FiniteGroup, H: FiniteGroup) -> HomReport:
+    """Exhaustive check of T(delta_a * delta_b) = T delta_a * T delta_b, to ``HOM_DEFECT_TOL``.
+
+    A NaN defect fails.
+    """
     T = np.asarray(T, dtype=np.complex128)
     if T.shape != (H.order, G.order):
         raise ParameterError("matrix shape must be (|H|, |G|)")
     worst = float(np.max([np.abs(T[:, G.table[a, b]] - convolve_group(T[:, a], T[:, b], H))
                           for a in range(G.order) for b in range(G.order)]))
-    return HomReport(worst <= tol, worst)
+    return HomReport(worst <= HOM_DEFECT_TOL, worst)
 
 
 def _hom_defect_cyclic(T: np.ndarray, pairs: tuple, work: tuple) -> float:
@@ -244,10 +249,9 @@ def _hom_defect_cyclic(T: np.ndarray, pairs: tuple, work: tuple) -> float:
     ``pairs`` and ``work`` come from ``_defect_workspace`` once per scan:
     the index arrays a, b and (a + b) mod n of the n(n+1)/2 pairs, and
     two complex buffers of n(n+1)/2 * B * n entries that every block
-    reuses for the three pair gathers, the inverse DFT and the modulus
-    (and then ``_isometry_defect`` for its own).  Beyond them a block
-    allocates only V, n * B * n entries laid out (a, B, j) so that the
-    gathers copy whole rows.
+    reuses for the three pair gathers, the inverse DFT and the modulus.
+    Beyond them a block allocates only V, n * B * n entries laid out
+    (a, B, j) so that the gathers copy whole rows.
     """
     B, n = len(T), T.shape[-1]
     V = np.fft.fft(T.transpose(2, 0, 1), axis=-1)            # (a, B, j)
@@ -259,21 +263,6 @@ def _hom_defect_cyclic(T: np.ndarray, pairs: tuple, work: tuple) -> float:
     D -= np.take(V, s, axis=0, out=E, mode="clip")
     np.fft.ifft(D, axis=-1, out=E)
     return float(np.abs(E, out=work[0].view(np.float64)[:size].reshape(D.shape)).max())
-
-
-def _isometry_defect(T: np.ndarray, eye: np.ndarray, work: tuple) -> float:
-    """Largest entry of |T_i^H T_i - I| over the stack, in the buffers of ``_hom_defect_cyclic``.
-
-    The conjugate keeps T's (a, B, x) layout and the product is C-ordered,
-    as in ``T.conj().transpose(0, 2, 1) @ T``, so the matrix products see
-    the same operands and return the same bits.
-    """
-    B, n = len(T), T.shape[-1]
-    size = B * n * n
-    conj = np.conjugate(T.transpose(2, 0, 1), out=work[1][:size].reshape(n, B, n))
-    gram = np.matmul(conj.transpose(1, 0, 2), T, out=work[0][:size].reshape(B, n, n))
-    gram -= eye
-    return float(np.abs(gram, out=work[1].view(np.float64)[:size].reshape(B, n, n)).max())
 
 
 def _defect_workspace(n: int) -> tuple[tuple, tuple]:
@@ -314,7 +303,6 @@ def translation_rigidity_check(G: FiniteGroup) -> bool:
 # bound on B * n**3, B permutations per block: the census's two work buffers
 # hold n(n+1)/2 * B * n complex entries each, about 440 KB at n = 7, 8 and 9
 _BLOCK_ENTRIES = 49152
-HOM_DEFECT_TOL = 1e-10  # largest homomorphism defect the census accepts
 
 
 def check_scan_order(n: int) -> None:
@@ -407,7 +395,7 @@ def enumerate_l2_automorphisms(n: int) -> AutomorphismScan:
         if not defect <= HOM_DEFECT_TOL:
             raise ParameterError(f"homomorphism defect {defect:g} above {HOM_DEFECT_TOL:g}")
         max_def = max(max_def, defect)
-        max_iso = max(max_iso, _isometry_defect(T, eye, work))
+        max_iso = max(max_iso, float(np.abs(T.conj().transpose(0, 2, 1) @ T - eye).max()))
         if example is None and not affine.all():
             i = int(np.argmin(affine))
             example, example_sigma = T[i].copy(), tuple(int(v) for v in sigmas[i])
@@ -439,13 +427,7 @@ def small_norm_scan(n: int, threshold: float = 1.2) -> SmallNormReport:
         raise ParameterError("the norm threshold must be a number, got nan")
     min_nonstd, max_std = math.inf, 0.0
     for _, T, affine in _dual_permutation_blocks(n):
-        # rows summed in order: np.sum along T's contiguous row axis would
-        # sum pairwise from n = 8 on and move norms in the last bit
-        A = np.abs(T)
-        cols = A[:, 0].copy()
-        for row in A.transpose(1, 0, 2)[1:]:
-            cols += row
-        norms = cols.max(axis=1)
+        norms = np.abs(T).sum(axis=1).max(axis=1)
         if np.isnan(norms).any():
             raise ParameterError("an l1 norm of the scan is nan")
         max_std = max(max_std, float(norms.max(initial=0.0, where=affine)))

@@ -9,9 +9,9 @@ converted and scanned for its nonzero window first.  Convolution keeps
 real data real (a real FFT when both factors are real), so the imaginary
 parts of real sequences stay exactly zero.  A product may carry an
 optional l1 budget, spent on its end coefficients before the product is
-stored.  Convolution, weighted p-norms, translation, the formal
-derivative/antiderivative pair and sampling of the associated Laurent
-series at roots of unity live here.
+stored.  Convolution, weighted p-norms, the formal derivative/antiderivative
+pair and sampling of the associated Laurent series at roots of unity
+live here; translation by x is convolution by ``delta(x)``.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _dft(values: np.ndarray, nfft: int, real: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# weighted norms and translations
+# weighted norms
 # ---------------------------------------------------------------------
 
 
@@ -214,7 +214,8 @@ def weighted_norm(f: TruncSeq, p: float, w: Weight) -> float:
     if not np.all(np.isfinite(wv)):
         bad = int(f.indices()[np.argmax(~np.isfinite(wv))])
         raise RangeError(f"weight overflow at index {bad}")
-    t = np.abs(f.values) * wv
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        t = np.abs(f.values) * wv
     m = float(np.max(t))
     if not np.isfinite(m):
         nan = np.isnan(f.values)
@@ -224,13 +225,6 @@ def weighted_norm(f: TruncSeq, p: float, w: Weight) -> float:
     if m == 0.0:
         return 0.0
     return m * float(np.sum((t / m) ** p)) ** (1.0 / p)
-
-
-def translate(f: TruncSeq, x: int) -> TruncSeq:
-    """Left translation (l_x f)(n) = f(n - x): support shifts up by x."""
-    if f.is_zero:
-        return f
-    return TruncSeq(f.lo + int(x), f.values)
 
 
 # ---------------------------------------------------------------------

@@ -456,12 +456,13 @@ def test_op_norm_forward_equals_inverse(r):
                                      (0.05, wt.polynomial(2.0), 128), (0.5, wt.constant(), 32),
                                      (-0.2, wt.constant(), 64)])
 def test_op_norm_solves_the_row_major_weighted_quadrant(r, w, N):
-    # the Gram product B^T B rounds by B's memory order; these cases move 1 ulp in Fortran order
+    # the Gram product B^T B rounds by B's memory order: the solve takes the
+    # quadrant in the column-major order build_matrix writes it
     mat = co.build_matrix(cm.Blaschke(r), (0, N))
     rows, cols = np.arange(mat.m_hi + 1), np.arange(N + 1)
-    B = np.ascontiguousarray(mat.entries * w.eval_array(rows)[:, None] / w.eval_array(cols)[None, :])
+    B = np.asfortranarray(mat.entries * w.eval_array(rows)[:, None] / w.eval_array(cols)[None, :])
     B[0, 1:] *= np.sqrt(2.0)
-    assert B.flags.c_contiguous
+    assert B.flags.f_contiguous
     assert co.op_norm_l2(cm.Blaschke(r), w, N) == co._top_singular_value(B)
 
 

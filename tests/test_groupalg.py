@@ -188,8 +188,7 @@ def test_standard_isos_are_homomorphisms():
     cases.append(ga.StandardIso(s3, s3, ga.inner_automorphism(s3, 4),
                                 ga.s3_sign_character()))
     for iso in cases:
-        rep = ga.is_algebra_homomorphism(ga.standard_iso_matrix(iso),
-                                         iso.source, iso.target, tol=HOM_TOL)
+        rep = ga.is_algebra_homomorphism(ga.standard_iso_matrix(iso), iso.source, iso.target)
         assert rep.is_homomorphism
         assert rep.max_defect < HOM_TOL
 
@@ -198,7 +197,7 @@ def test_non_homomorphism_detected():
     G = ga.cyclic(4)
     T = np.eye(4, dtype=complex)
     T[0, 0] = 2.0
-    rep = ga.is_algebra_homomorphism(T, G, G, tol=1e-10)
+    rep = ga.is_algebra_homomorphism(T, G, G)
     assert not rep.is_homomorphism
     assert rep.max_defect > 0.5
 
@@ -207,7 +206,7 @@ def test_nan_entry_is_not_a_homomorphism():
     G = ga.cyclic(4)
     T = np.eye(4, dtype=complex)
     T[3, 3] = math.nan
-    rep = ga.is_algebra_homomorphism(T, G, G, tol=1e-10)
+    rep = ga.is_algebra_homomorphism(T, G, G)
     assert not rep.is_homomorphism
     assert math.isnan(rep.max_defect)
 
@@ -333,6 +332,18 @@ def test_enumerate_refuses_a_nan_in_the_last_block(monkeypatch):
         ga.enumerate_l2_automorphisms(6)
 
 
+def test_enumerate_measures_the_isometry_defect_of_the_last_block(monkeypatch):
+    # F^-1 D F T, D = diag(0, 1, ..., 1), drops one dual coordinate: still a
+    # homomorphism, but T^H T - I gains the entries -conj(F[j, x]) F[j, y] / n
+    n = 6
+    F = np.fft.fft(np.eye(n), axis=0)
+    E = np.linalg.inv(F) @ np.diag([0.0] + [1.0] * (n - 1)) @ F
+    perturbed = edit_the_last_permutation(monkeypatch, n, lambda T: np.matmul(E, T.copy(), out=T))
+    scan = ga.enumerate_l2_automorphisms(n)
+    assert perturbed and scan.max_hom_defect <= ga.HOM_DEFECT_TOL
+    assert abs(scan.max_isometry_defect - 1.0 / n) <= 1e-12
+
+
 def test_small_norm_scan_refuses_a_nan_in_the_last_block(monkeypatch):
     edit_the_last_permutation(monkeypatch, 6, lambda T: T.fill(math.nan))
     with pytest.raises(ParameterError, match="nan"):
@@ -370,7 +381,7 @@ def test_nonstandard_example_is_a_real_automorphism():
     scan = ga.enumerate_l2_automorphisms(4)
     T = np.array(scan.nonstandard_example)
     G = ga.cyclic(4)
-    rep = ga.is_algebra_homomorphism(T, G, G, tol=1e-10)
+    rep = ga.is_algebra_homomorphism(T, G, G)
     assert rep.is_homomorphism
 
 

@@ -385,8 +385,8 @@ def test_weighted_norm_refuses_a_nan_coefficient_by_its_index(w, values, bad):
 @pytest.mark.parametrize("f", [sa.TruncSeq(10, [1e308]), sa.TruncSeq(-2, [1.0, -np.inf]),
                                sa.TruncSeq(0, [1.0, complex(1.5e308, 1.5e308)])])
 def test_weighted_norm_reports_a_true_overflow_as_a_range_error(f):
-    # numpy also warns of the overflow it reaches in |f(n)| w(n)
-    with np.errstate(over="ignore"), pytest.raises(RangeError, match="coefficient overflow"):
+    # the suite turns a RuntimeWarning into an error: the overflow must not warn first
+    with pytest.raises(RangeError, match="coefficient overflow"):
         sa.weighted_norm(f, 2.0, wt.polynomial(2.0))
 
 
@@ -434,16 +434,22 @@ def test_young_bound_p1_via_weak_submultiplicativity():
 @given(seqs(), st.integers(-40, 40))
 @settings(max_examples=50, deadline=None)
 def test_translate_shifts_support_exactly(f, x):
-    g = sa.translate(f, x)
+    # left translation (l_x f)(n) = f(n - x) is convolution by delta(x)
+    g = sa.convolve(f, sa.delta(x))
     if not f.is_zero:
         assert g.lo == f.lo + x
     np.testing.assert_array_equal(g.values, f.values)
+    assert g.values.dtype == f.values.dtype
 
 
 def test_translate_is_convolution_by_delta():
     rng = np.random.default_rng(1)
-    f = sa.TruncSeq(-4, rng.standard_normal(9))
-    assert sa.l1_diff(sa.translate(f, 7), sa.convolve(f, sa.delta(7))) < 1e-12
+    for f in (sa.TruncSeq(-4, rng.standard_normal(9)),
+              sa.TruncSeq(3, rng.standard_normal(40) + 1j * rng.standard_normal(40))):
+        for method in ("direct", "fft"):
+            g = sa.convolve(f, sa.delta(7), method)
+            assert g.lo == f.lo + 7 and g.values.dtype == f.values.dtype
+            assert sa.l1_diff(g, sa.TruncSeq(f.lo + 7, f.values)) < 1e-12
 
 
 @pytest.mark.parametrize("w", [wt.constant(), wt.subexp(0.7)])
@@ -452,7 +458,7 @@ def test_translate_is_convolution_by_delta():
 def test_translation_norm_bound_for_submultiplicative_weights(w, f, x):
     # ||l_x f|| <= w(x) ||f|| holds whenever the weight is submultiplicative
     for p in (1.0, 2.0):
-        lhs = sa.weighted_norm(sa.translate(f, x), p, w)
+        lhs = sa.weighted_norm(sa.convolve(f, sa.delta(x)), p, w)
         rhs = w.eval(x) * sa.weighted_norm(f, p, w)
         assert lhs <= rhs * (1 + 1e-12)
 
@@ -486,7 +492,7 @@ def test_derivative_inverts_antiderivative(g):
     # d/dz of the antiderivative returns g with the constant term removed,
     # shifted down one index (g_n/n is not exact in floats, so use l1)
     lhs = sa.formal_derivative(sa.antiderivative(g))
-    rhs = sa.translate(g - sa.delta(0, g[0]), -1)
+    rhs = sa.convolve(g - sa.delta(0, g[0]), sa.delta(-1))
     assert sa.l1_diff(lhs, rhs) <= 1e-13 * max(1.0, sa.l1_norm(g))
 
 
