@@ -219,17 +219,23 @@ def certified_support(phi: Blaschke, n: int, top: int,
     :class:`ParameterError`; None when no row is certified or no grid of
     at most 2^MAX_LOG2_GRID points is.  On the circle
     b_r^n = e^(i n Theta), Theta(t) = t + 2 atan2(r sin t, 1 - r cos t).
-    One FFT of its samples at M points gives c_k + sum_{j>=1} c_{k+jM}
+    The DFT of its samples at M points gives c_k + sum_{j>=1} c_{k+jM}
     for k < M, as b_r^n is analytic, so each is within T(M - 1) =
     sum_{k>=M} |c_k| of the exact c_k (``_cauchy_tail`` under the constant
-    weight).  The running power is within delta = beta (e^(0.26 tol) - 1)
-    of the exact one in l1, beta = ``power_l1_bound(phi, top)``, and M is
-    the smallest grid of ``_cauchy_grid`` with T(M - 1) <= delta.  The
-    running power is nonzero at every k whose sample exceeds
+    weight).  With real r every c_k is real, so the samples are
+    conjugate-symmetric, s(-t) = conj s(t): only the M/2 + 1 points
+    t = 2 pi j / M, 0 <= j <= M/2, are sampled, and one ``irfft`` of
+    their conjugates gives the conjugates of those sums.  It reads only
+    the real parts of s_0 = 1 and s_(M/2) = (-1)^n, which the sample
+    holds up to the rounding of sin(pi) in the phase.  The running power
+    is within delta = beta (e^(0.26 tol) - 1) of the exact one in l1,
+    beta = ``power_l1_bound(phi, top)``, and M is the smallest grid of
+    ``_cauchy_grid`` with T(M - 1) <= delta.  The running power is
+    nonzero at every k whose sample exceeds
     T(M - 1) + delta + (top + 1) 2^-40 in modulus.  The last term allows
     for rounding: 2^-40 per power covers 64 eps times log2 of any FFT
     length in the running products, and the |n|-fold phase with one FFT
-    here.
+    here, the imaginary parts ``irfft`` drops included.
     """
     if not (phi.r != 0.0 and 1 <= n <= top and 0.0 < tol < math.inf):
         raise ParameterError(f"a sampled column needs r != 0, 1 <= n <= top and a positive "
@@ -240,9 +246,9 @@ def certified_support(phi: Blaschke, n: int, top: int,
     if grid is None:
         return None
     M, alias = grid
-    t = 2.0 * np.pi * np.arange(M) / M
+    t = 2.0 * np.pi * np.arange(M // 2 + 1) / M
     phase = t + 2.0 * np.arctan2(phi.r * np.sin(t), 1.0 - phi.r * np.cos(t))
-    sampled = np.abs(np.fft.fft(np.exp(1j * n * phase)) / M)
+    sampled = np.abs(np.fft.irfft(np.exp(-1j * n * phase), M))
     rows = np.flatnonzero(sampled > alias + delta + (top + 1) * 2.0 ** -40)
     return (int(rows[0]), int(rows[-1])) if len(rows) else None
 

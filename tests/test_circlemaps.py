@@ -205,11 +205,39 @@ def test_no_certified_grid_refuses_before_any_sample(monkeypatch):
     def no_fft(*args, **kwargs):
         raise AssertionError("a sample was transformed")
     monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "irfft", no_fft)
     monkeypatch.setattr(cm, "MAX_LOG2_GRID", 15)
     assert cm.certified_support(cm.Blaschke(0.99), 210, 300, 1e-10) is None
     monkeypatch.setattr(cm, "MAX_LOG2_GRID", 20)
     with pytest.raises(AccuracyError, match=r"no grid of at most 2\^20 points"):
         cm.compose_transform(sa.delta(3), cm.Blaschke(0.5), cauchy_tol=1e-20)
+
+
+@pytest.mark.parametrize("r, n, top, tol, hull", [
+    (0.99, 210, 300, 1e-10, (0, 46711)), (-0.99, 210, 300, 1e-10, (0, 46711)),
+    (0.999, 2, 4000, 1e-14, (0, 16652)), (0.9, 60, 60, 1e-10, (0, 1535)),
+    (-0.7, 3, 12, 1e-10, (0, 81)), (0.5, 1, 4, 1e-10, (0, 33)),
+])
+def test_half_circle_sample_matches_the_full_circle_sample(monkeypatch, r, n, top, tol, hull):
+    # the real coefficients make the samples conjugate-symmetric, so the irfft of the
+    # half circle gives the conjugates of the full circle's FFT; the full sample, fed
+    # through the same threshold, is the oracle
+    half = []
+    irfft = np.fft.irfft
+
+    def recorded(a, M):
+        half.append(irfft(a, M))
+        return half[-1]
+
+    monkeypatch.setattr(np.fft, "irfft", recorded)
+    assert cm.certified_support(cm.Blaschke(r), n, top, tol) == hull
+    M = len(half[0])
+    t = 2.0 * np.pi * np.arange(M) / M
+    phase = t + 2.0 * np.arctan2(r * np.sin(t), 1.0 - r * np.cos(t))
+    full = np.fft.fft(np.exp(1j * n * phase)) / M
+    assert np.abs(half[0] - full.conj()).max() <= 1e-13
+    monkeypatch.setattr(np.fft, "irfft", lambda a, M: full)
+    assert cm.certified_support(cm.Blaschke(r), n, top, tol) == hull
 
 
 def test_compose_transform_samples_one_grid(monkeypatch):

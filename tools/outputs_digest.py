@@ -9,17 +9,17 @@ in its group; ``refusals`` covers whether ``build_matrix`` raises
 SizeError on each request of ``REFUSALS`` under its entry cap, so equal
 digests there mean the same requests are refused, and ``support`` covers
 the hull ``certified_support`` returns (or None) for each column that
-those requests probe, ``op_norm_l2`` covers the norms at the
-``distortion`` defaults and at the ``unweighted-exact-norm`` check's
-inputs, ``products`` covers ``seqalg.convolve`` on the direct and FFT
-routes, real and complex, at budgets 0, 1e-13 and above the product's
-mass, and ``l1_trimmed`` on arrays with zero ends at tied budgets,
-``distortion`` covers every field of the four rows of ``convalg
-distortion`` at its defaults, ``census`` covers every field of the
-automorphism census of Z_n for n = 1..9 and the norms of the l1
-small-norm scan for n = 3..9, and ``verify`` covers the name, verdict
-and detail line of every check ``convalg verify`` runs.  ``all`` covers
-the groups together.
+those requests probe and for each input of ``SUPPORT``, ``op_norm_l2``
+covers the norms at the ``distortion`` defaults and at the
+``unweighted-exact-norm`` check's inputs, ``products`` covers
+``seqalg.convolve`` on the direct and FFT routes, real and complex, at
+budgets 0, 1e-13 and above the product's mass, and ``l1_trimmed`` on
+arrays with zero ends at tied budgets, ``distortion`` covers every field
+of the four rows of ``convalg distortion`` at its defaults, ``census``
+covers every field of the automorphism census of Z_n for n = 1..9 and
+the norms of the l1 small-norm scan for n = 3..9, and ``verify`` covers
+the name, verdict and detail line of every check ``convalg verify``
+runs.  ``all`` covers the groups together.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ REFUSALS = [(r, n_range, cap) for r in (0.5, -0.9, 0.99, 0.0)
             for n_range in ((-60, 60), (5, 40), (-40, -5), (-20, 35))
             for cap in (2_000, 20_000, 200_000)]
 REFUSALS += [(r, (-300, 300), co.MAX_MATRIX_ENTRIES) for r in (0.99, -0.99)]
+# (r, n, top, tol) of certified_support: the oversize probes, test_matrix_entry_cap's, small grids
+SUPPORT = [(0.99, 210, 300, 1e-10), (-0.99, 210, 300, 1e-10), (0.999, 2, 4000, 1e-14),
+           (0.9, 60, 60, 1e-10), (-0.7, 3, 12, 1e-10), (0.5, 1, 4, 1e-10)]
 
 
 def _seq(f: sa.TruncSeq) -> bytes:
@@ -121,6 +124,7 @@ def groups() -> dict[str, list[bytes]]:
                                 for n in (-400, -25, 25, 400)]
     hulls: list = []
     out["refusals"] = [struct.pack("<?", _refuses(*req, hulls)) for req in REFUSALS]
+    hulls += [cm.certified_support(cm.Blaschke(r), n, top, tol) for r, n, top, tol in SUPPORT]
     out["support"] = [b"none" if hull is None else struct.pack("<qq", *hull) for hull in hulls]
     out["products"] = _products()
     out["op_norm_l2"] = [struct.pack("<d", co.op_norm_l2(cm.Blaschke(r), poly, 256))
