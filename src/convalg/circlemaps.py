@@ -12,12 +12,13 @@ Coefficient routines return :class:`~convalg.seqalg.TruncSeq` objects
 within the l1 distance of the exact ones that each routine states.  With
 real r every coefficient is real, and they are stored and multiplied as
 float64; compositions stay complex128.
-``compose_transform`` implements the sampling pipeline: evaluate the
-Laurent series of f after the map on a root-of-unity grid and transform
-once.  Every circle sample, there and in ``certified_support``, takes its
-grid from one rule, ``_cauchy_grid``: the smallest power of two whose
-aliasing tail (the Cauchy bound ``_cauchy_tail``) plus a stated rounding
-allowance is within the caller's bound.
+``compose`` implements the sampling pipeline: evaluate the Laurent
+series of f after the map on a root-of-unity grid, transform once and
+state the error of the result.  Every circle sample, there and in
+``certified_support``, takes its grid from one rule, ``_cauchy_grid``:
+the smallest power of two whose aliasing tail (the Cauchy bound
+``_cauchy_tail``) plus a stated rounding allowance is within the
+caller's bound.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
-from .seqalg import TruncSeq, _RightMultiplier, convolve, delta, l1_norm, l1_trimmed
+from .seqalg import RightMultiplier, TruncSeq, convolve, delta, l1_norm, l1_trimmed
 from .weights import CONSTANT, TABULATED, Weight, constant, geometric_tail
 
 MAX_LOG2_GRID = 20
@@ -54,11 +55,6 @@ def map_values(phi: Blaschke, z: np.ndarray) -> np.ndarray:
     """Evaluate the map on arbitrary complex points (no domain check)."""
     z = np.asarray(z, dtype=np.complex128)
     return (z - phi.r) / (1.0 - phi.r * z)
-
-
-def derivative_values(phi: Blaschke, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.complex128)
-    return (1.0 - phi.r ** 2) / (1.0 - phi.r * z) ** 2
 
 
 # ---------------------------------------------------------------------
@@ -198,7 +194,7 @@ def running_powers(phi: Blaschke, top: int, tol: float = 1e-10,
     bound, about 0.26 beta tol, up to rounding.  The product starts at
     phi^0, or at b_0^start = z^start, which is exact.
     """
-    times_base = _RightMultiplier(coeffs(phi, tol / (100.0 * (top + 1.0))))
+    times_base = RightMultiplier(coeffs(phi, tol / (100.0 * (top + 1.0))))
     step_budget = tol / (4.0 * max(1, top))
     n = start if phi.r == 0.0 else 0
     cur = delta(n)
@@ -278,7 +274,7 @@ def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[Trun
     b_r^n is analytic on |z| < 1/|r|, so Cauchy's estimate gives
     |c_k| <= rho^-k M(rho)^n for 1 <= rho < 1/|r|, with M(rho) =
     (rho - |r|)/(1 - |r| rho) its maximum on |z| = rho, and the rows beyond
-    K hold at most M(rho)^n ``geometric_tail(w, 1/rho, K)``.  Each K is
+    K hold at most M(rho)^n e^G, G = ``geometric_tail(w, 1/rho, K)``.  Each K is
     tried at the rho minimising rho^-K M(rho)^n, the root above 1 of
     |r| K rho^2 - (K (1 + r^2) - n (1 - r^2)) rho + |r| K = 0, which exists
     for K > n (1 + |r|)/(1 - |r|); K doubles from there until the bound
@@ -318,7 +314,7 @@ def _power_rows(phi: Blaschke, n: int, w: Weight, tail_tol: float) -> tuple[Trun
 def _cauchy_tail(x: float, n: int, w: Weight, K: int) -> float:
     """An upper bound of sum_{k>K} w(k) |c_k| for the coefficients c of b_r^n, |r| = x, n >= 0.
 
-    The bound of ``_power_rows``: M(rho)^n ``geometric_tail(w, 1/rho, K)``
+    The bound of ``_power_rows``: M(rho)^n e^G, G = ``geometric_tail(w, 1/rho, K)``,
     at the rho minimising rho^-K M(rho)^n; inf when K <= n (1 + x)/(1 - x)
     or no tail is found.  The product is formed in logarithms, so M(rho)^n
     is never dropped where the tail underflows.  As M(rho) >= 1,
@@ -333,7 +329,7 @@ def _cauchy_tail(x: float, n: int, w: Weight, K: int) -> float:
         return math.inf
     rho = (b + math.sqrt(disc)) / (2.0 * K * x)
     log_bound = (n * math.log((rho - x) / (1.0 - x * rho))
-                 + geometric_tail(w, 1.0 / rho, K, log=True))
+                 + geometric_tail(w, 1.0 / rho, K))
     return math.exp(log_bound) if log_bound < 700.0 else math.inf
 
 
@@ -359,13 +355,8 @@ def _binary_power(base: TruncSeq, e: int, times) -> TruncSeq:
 # ---------------------------------------------------------------------
 
 
-def _roots_of_unity(M: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(M) / M)
-
-
 def _compose_once(f: TruncSeq, phi: Blaschke, M: int) -> TruncSeq:
-    z = _roots_of_unity(M)
-    w = map_values(phi, z)
+    w = map_values(phi, np.exp(2j * np.pi * np.arange(M) / M))
     acc = np.zeros(M, dtype=np.complex128)
     for c in f.values[::-1]:  # Horner on the shifted polynomial
         acc = acc * w + c
@@ -374,26 +365,18 @@ def _compose_once(f: TruncSeq, phi: Blaschke, M: int) -> TruncSeq:
     return TruncSeq(-(M // 2), coef)
 
 
-def compose_transform(f: TruncSeq, phi: Blaschke, cauchy_tol: float = 1e-9) -> TruncSeq:
-    """Coefficients of z -> f^(phi(z)), f^ the Laurent series of f, within 1.01 cauchy_tol in l1.
+def compose(f: TruncSeq, phi: Blaschke, cauchy_tol: float,
+            w: Weight | None = None) -> tuple[TruncSeq, float]:
+    """Coefficients g of f^ o phi, f^ the Laurent series of f, and E >= sum_k w(k) |g_k - exact_k|.
 
     One sample on the M-th roots of unity, the grid of ``_cauchy_grid``
-    whose aliasing tail plus rounding allowance is at most ``cauchy_tol``
-    (``_composed`` states both), then an l1 trim of ``cauchy_tol`` / 100.
-    Raises :class:`AccuracyError` before any sample when no grid of at
-    most 2^MAX_LOG2_GRID points qualifies, and :class:`ParameterError`
-    before any grid for a tolerance that is not positive and finite.
-    """
-    g = _composed(f, phi, cauchy_tol)[0]
-    return l1_trimmed(g.lo, g.values, cauchy_tol / 100.0)
-
-
-def _composed(f: TruncSeq, phi: Blaschke, cauchy_tol: float,
-              w: Weight | None = None) -> tuple[TruncSeq, float]:
-    """The untrimmed sample of ``compose_transform``, and E >= sum_k w(k) |g_k - exact_k|.
-
+    whose aliasing tail plus rounding allowance is at most ``cauchy_tol``.
     Without ``w`` E bounds the l1 error, which the grid is chosen for; a
-    weight w must be symmetric and nondecreasing in |k|.
+    weight w must be symmetric and nondecreasing in |k|.  Raises
+    :class:`ParameterError` before any grid for a tolerance that is not
+    positive and finite, and :class:`AccuracyError` before any sample
+    when no grid of at most 2^MAX_LOG2_GRID points qualifies.
+
     f^ o b_r = sum_j f_j b_r^j.  Read on the window -M/2..M/2-1, the
     M-point sample of b_r^j misses each coefficient outside and adds it
     to one inside, nearer 0, so its weighted error is at most
@@ -433,3 +416,9 @@ def _composed(f: TruncSeq, phi: Blaschke, cauchy_tol: float,
     if w is not None:
         err = 2.0 * norm * _cauchy_tail(x, J, w, M // 2 - 1) + w.eval(M // 2) * rounding(M)
     return _compose_once(f, phi, M), err
+
+
+def compose_transform(f: TruncSeq, phi: Blaschke) -> TruncSeq:
+    """``compose(f, phi, 1e-9)`` trimmed by 1e-11 in l1: within 1.01e-9 of f^ o phi in l1."""
+    g = compose(f, phi, 1e-9)[0]
+    return l1_trimmed(g.lo, g.values, 1e-9 / 100.0)

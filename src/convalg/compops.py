@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weights as wt
-from .circlemaps import (Blaschke, _composed, certified_support, coeffs, derivative_coeffs,
+from .circlemaps import (Blaschke, certified_support, coeffs, compose, derivative_coeffs,
                          power_l1_bound, running_powers, weighted_power)
 from .circlemaps import compose_transform, power_coeffs  # noqa: F401  perfbench's tracer wraps them
 from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
@@ -413,9 +413,9 @@ def chain_rule_check(f: TruncSeq, phi: Blaschke, tol: float = 1e-6) -> ChainRule
     """
     ctol = min(tol * 1e-4, 1e-9)  # in this order a NaN tol stays NaN, which is refused
     df = formal_derivative(f)
-    composed, lhs_err = _composed(f, phi, ctol * max(1.0, l1_norm(f)), wt.polynomial(1.0))
+    composed, lhs_err = compose(f, phi, ctol * max(1.0, l1_norm(f)), wt.polynomial(1.0))
     lhs = formal_derivative(composed)
-    h, h_err = _composed(df, phi, ctol * max(1.0, l1_norm(df)))
+    h, h_err = compose(df, phi, ctol * max(1.0, l1_norm(df)))
     d = derivative_coeffs(phi, ctol)
     rhs = convolve(h, d)
     h_norm, d_norm = l1_norm(h), l1_norm(d)

@@ -117,12 +117,6 @@ def builtin_group(name: str) -> FiniteGroup:
 # ---------------------------------------------------------------------
 
 
-def delta_func(G: FiniteGroup, a: int) -> np.ndarray:
-    f = np.zeros(G.order, dtype=np.complex128)
-    f[a] = 1.0
-    return f
-
-
 def convolve_group(f: np.ndarray, g: np.ndarray, G: FiniteGroup) -> np.ndarray:
     """(f * g)(x) = sum_y f(y) g(y^{-1} x)."""
     f = np.asarray(f, dtype=np.complex128)

@@ -146,10 +146,10 @@ def convolve(f: TruncSeq, g: TruncSeq, method: str = "auto", budget: float = 0.0
     """
     if not budget >= 0.0:
         raise ParameterError(f"an l1 budget must be >= 0, got {budget}")
-    return _RightMultiplier(g)(f, method, budget)
+    return RightMultiplier(g)(f, method, budget)
 
 
-class _RightMultiplier:
+class RightMultiplier:
     """f -> f * g for a fixed right factor g, which keeps g's spectrum.
 
     It keeps the spectrum of g at the last FFT length used, also for a

@@ -300,15 +300,14 @@ def recip_power_sum(w: Weight, q: float, upto: int = 4096) -> tuple[float, float
     return partial, tail
 
 
-def geometric_tail(w: Weight, x: float, K: int, log: bool = False) -> float:
-    """An upper bound of sum_{k>K} w(k) x^k for 0 < x < 1 and K >= 0; inf when none is found.
+def geometric_tail(w: Weight, x: float, K: int) -> float:
+    """The natural logarithm of an upper bound of sum_{k>K} w(k) x^k for 0 < x < 1 and K >= 0.
 
     For the built-in families on Z the ratio w(k+1)/w(k) does not grow
     for k >= 1, so the terms beyond K fall at least as fast as a geometric
     series of ratio q = x w(K+2)/w(K+1), and the sum is at most
-    w(K+1) x^(K+1) / (1 - q) when q < 1.  With ``log`` the natural
-    logarithm of that bound is returned; it stays finite where the bound
-    itself underflows to 0.
+    w(K+1) x^(K+1) / (1 - q) when q < 1.  The logarithm stays finite where
+    that bound underflows to 0; it is inf when no bound is found.
     """
     if w.group is not None or w.family == TABULATED:
         raise ParameterError("geometric tails need a built-in family on Z")
@@ -317,10 +316,7 @@ def geometric_tail(w: Weight, x: float, K: int, log: bool = False) -> float:
     if not q < 1.0:  # also an overflowing weight, where q is inf or nan
         return math.inf
     # in logarithms, so that x^(K+1) cannot underflow beside a large w(K+1)
-    log_lead = math.log(w1) + (K + 1) * math.log(x)
-    if log:
-        return log_lead - math.log1p(-q)
-    return math.exp(log_lead) / (1.0 - q)
+    return math.log(w1) + (K + 1) * math.log(x) - math.log1p(-q)
 
 
 @dataclass(frozen=True)

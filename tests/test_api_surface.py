@@ -4,15 +4,14 @@ A module-level function or class is used when its name appears as a whole
 word in ``src/convalg`` outside its own definition, in ``perfbench/*.py``
 or in ``README.md``.  A method, property or dataclass field is used when
 ``.name`` appears there, outside its own definition.  A name reached only
-by tests is deleted, or listed in ``ALLOWED`` with the reason it stays.
+by tests is deleted, or moved into the tests that use it.
 
 The member search matches text, not types, so a member whose name another
 object shares is hidden: ``.tol`` of ``groupalg.HomReport`` would count as
 used because ``perfbench`` reads ``.tol`` of a ``ChainRuleReport``.  Such
 a member has to be found by reading.
 
-No core module imports an underscore name from another one, apart from
-the pairs in ``ALLOWED_PRIVATE_IMPORTS``, each with its reason.
+No core module imports an underscore name from another one.
 """
 
 import ast
@@ -22,11 +21,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "convalg"
 MODULES = ("weights", "seqalg", "circlemaps", "compops", "groupalg")
-
-ALLOWED = {
-    "circlemaps.derivative_values": "closed-form oracle for derivative_coeffs in the tests",
-    "groupalg.delta_func": "point-mass fixture of the group-algebra tests",
-}
 
 # reports the CLI writes whole, through dataclasses.fields/asdict: each
 # field is a report column, also one that no code reads by name
@@ -81,15 +75,6 @@ def _unused_names() -> tuple[set[str], set[str]]:
     return unused, whole_needed
 
 
-# private names one core module may take from another, with the reason
-ALLOWED_PRIVATE_IMPORTS = {
-    ("circlemaps", "seqalg._RightMultiplier"):
-        "running_powers multiplies by one base and keeps its spectrum per FFT length",
-    ("compops", "circlemaps._composed"):
-        "chain_rule_check bounds its residual by the compositions' weighted error bounds",
-}
-
-
 def _private_imports() -> set[tuple[str, str]]:
     """(module, source.name) for each underscore name a core module imports from a sibling."""
     found = set()
@@ -102,13 +87,10 @@ def _private_imports() -> set[tuple[str, str]]:
 
 
 def test_core_modules_take_no_private_name_from_each_other():
-    found = _private_imports()
-    assert not found - ALLOWED_PRIVATE_IMPORTS.keys(), "move these behind a public name"
-    assert not ALLOWED_PRIVATE_IMPORTS.keys() - found, "these are no longer imported; drop them"
+    assert not _private_imports(), "move these behind a public name"
 
 
 def test_public_api_is_reached_outside_the_tests():
     unused, whole_needed = _unused_names()
-    assert not unused - ALLOWED.keys(), "only tests reach these; delete or allow them"
-    assert not ALLOWED.keys() - unused, "these allowed names now have a user; drop them"
+    assert not unused, "only tests reach these; delete them or move them into the tests"
     assert not WRITTEN_WHOLE - whole_needed, "every field of these is read by name; drop them"

@@ -92,10 +92,11 @@ CASES = [
     ("blaschke-coefficients", "nan", "cm", "coeffs", edit(lambda c, *args: plus(c, NAN)), "nan"),
     ("blaschke-coefficients", "coefficient+1.1e-10", "cm", "coeffs",
      edit(lambda c, *args: plus(c, 1.1e-10)), "max error"),
-    ("power-pipeline-agreement", "nan", "cm", "power_coeffs",
-     edit(lambda a, *args: plus(a, NAN)), "nan"),
-    # the binary power's own gap (up to 1.4e-13) could cancel 1.1 times the bound 1e-12 + b_err
-    ("power-pipeline-agreement", "coefficient+2*bound", "cm", "_composed",
+    ("power-pipeline-agreement", "nan", "cm", "weighted_power",
+     edit(lambda a, *args: (plus(a[0], NAN), a[1])), "nan"),
+    # the binary power's own gap (up to 1.4e-13) could cancel 1.1 times the bound a_err + b_err,
+    # where a_err = 1e-12
+    ("power-pipeline-agreement", "coefficient+2*bound", "cm", "compose",
      edit(lambda b, *args: (plus(b[0], 2.0 * (1e-12 + b[1])), b[1])), "exceeds the routes' bounds"),
     ("monomial-isometry", "nan", "sa", "weighted_norm", edit(lambda x, *args: NAN), "nan"),
     ("monomial-isometry", "norm*(1+1.1e-12)", "sa", "weighted_norm",
@@ -108,8 +109,8 @@ CASES = [
      edit(lambda rows, *args: [dataclasses.replace(rows[0], ratio=NAN), *rows[1:]], call=0),
      "no growth at n=5"),
     ("unweighted-contrast", "nan", "co", "column_ratio", edit(lambda x, *args: NAN), "nan"),
-    ("unweighted-contrast", "ratio+0.011", "co", "column_ratio",
-     edit(lambda x, *args: x + 0.011), "not all in [0.99, 1.01]"),
+    ("unweighted-contrast", "ratio+1.1e-10", "co", "column_ratio",
+     edit(lambda x, *args: x + 1.1e-10), "beyond its certificate"),
     ("unweighted-exact-norm", "nan", "co", "op_norm_l2", lambda fn: lambda *args: NAN, "nan"),
     ("unweighted-exact-norm", "N=512 short by 1.1e-5", "co", "op_norm_l2",
      lambda fn: lambda phi, w, N: EXACT_NORM - 1.1e-5 if N == 512 else fn(phi, w, N), "short"),

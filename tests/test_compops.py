@@ -197,8 +197,8 @@ def test_monomial_columns_fill_their_rows_under_the_entry_cap(monkeypatch):
 def count_steps(monkeypatch) -> list:
     """Record each running-product step (one right multiplication) from here on."""
     steps = []
-    call = sa._RightMultiplier.__call__
-    monkeypatch.setattr(sa._RightMultiplier, "__call__",
+    call = sa.RightMultiplier.__call__
+    monkeypatch.setattr(sa.RightMultiplier, "__call__",
                         lambda self, *args, **kwargs: steps.append(1) or call(self, *args, **kwargs))
     return steps
 

@@ -93,7 +93,7 @@ def exact_half():
 def test_one_grid_composition_is_within_its_stated_bound(exact_half, n, w):
     # the untrimmed sample of delta_n o b_(1/2) against the exact column, in l1 and under
     # the weight 1 + |k| that bounds the chain rule's derivative
-    g, bound = cm._composed(sa.delta(n), cm.Blaschke(0.5), 1e-9, w)
+    g, bound = cm.compose(sa.delta(n), cm.Blaschke(0.5), 1e-9, w)
     col = sa.TruncSeq(0, exact_half[abs(n)])
     if n < 0:
         col = cm.reflect_conj(col)

@@ -216,16 +216,20 @@ def test_recip_power_sum_subexp_tail_is_inf_where_the_bound_overflows():
 
 @pytest.mark.parametrize("w", [wt.constant(), wt.polynomial(2.0), wt.subexp(0.5)],
                          ids=["constant", "polynomial", "subexp"])
-def test_geometric_tail_in_logarithms_is_the_log_of_the_bound(w):
-    assert wt.geometric_tail(w, 0.5, 40, log=True) == pytest.approx(
-        math.log(wt.geometric_tail(w, 0.5, 40)), rel=1e-14)
+def test_geometric_tail_covers_the_summed_tail(w):
+    # the terms beyond k = 400 are below 1e-100, so the bound must hold this sum up to rounding,
+    # and it is within 1 % of it
+    ks = np.arange(41, 400)
+    summed = float(np.sum(w.eval_array(ks) * 0.5 ** ks))
+    bound = math.exp(wt.geometric_tail(w, 0.5, 40))
+    assert summed <= bound * (1.0 + 1e-14) and bound <= 1.01 * summed
 
 
 def test_geometric_tail_in_logarithms_survives_the_underflow():
-    # under the constant weight the bound is the exact sum 0.01^401 / 0.99
-    assert wt.geometric_tail(wt.constant(), 0.01, 400) == 0.0
-    assert wt.geometric_tail(wt.constant(), 0.01, 400, log=True) == pytest.approx(
-        401 * math.log(0.01) - math.log(0.99), rel=1e-14)
+    # under the constant weight the bound is the exact sum 0.01^401 / 0.99, which underflows
+    log_bound = wt.geometric_tail(wt.constant(), 0.01, 400)
+    assert log_bound == pytest.approx(401 * math.log(0.01) - math.log(0.99), rel=1e-14)
+    assert math.exp(log_bound) == 0.0
 
 
 def test_algebra_constant_polynomial_frozen():

@@ -14,7 +14,10 @@ covers the norms at the ``distortion`` defaults and at the
 ``unweighted-exact-norm`` check's inputs, ``products`` covers
 ``seqalg.convolve`` on the direct and FFT routes, real and complex, at
 budgets 0, 1e-13 and above the product's mass, and ``l1_trimmed`` on
-arrays with zero ends at tied budgets, ``distortion`` covers every field
+arrays with zero ends at tied budgets, ``chain_rule`` covers the residual
+and the bound of ``chain_rule_check`` on the 20 sequences of the
+``chain-rule`` check, whose bounds carry ``compose``'s weighted and plain
+error bounds, ``distortion`` covers every field
 of the four rows of ``convalg distortion`` at its defaults, ``census``
 covers every field of the automorphism census of Z_n for n = 1..9 and
 the norms of the l1 small-norm scan for n = 3..9, and ``verify`` covers
@@ -76,6 +79,16 @@ def _products() -> list[bytes]:
     return out
 
 
+def _chain_rule() -> list[bytes]:
+    # the inputs of checks.chain_rule: seed 2, r = 0.3, complex normal on [-20, 20]
+    rng = np.random.default_rng(2)
+    phi = cm.Blaschke(0.3)
+    reports = [co.chain_rule_check(sa.TruncSeq(-20, rng.standard_normal(41)
+                                               + 1j * rng.standard_normal(41)), phi, tol=1e-6)
+               for _ in range(20)]
+    return [struct.pack("<dd", rep.residual_l1, rep.bound) for rep in reports]
+
+
 def _census(n: int) -> bytes:
     scan = ga.enumerate_l2_automorphisms(n)
     head = struct.pack("<qqqqdd", scan.n, scan.total, scan.standard_count, scan.nonstandard_count,
@@ -127,6 +140,7 @@ def groups() -> dict[str, list[bytes]]:
     hulls += [cm.certified_support(cm.Blaschke(r), n, top, tol) for r, n, top, tol in SUPPORT]
     out["support"] = [b"none" if hull is None else struct.pack("<qq", *hull) for hull in hulls]
     out["products"] = _products()
+    out["chain_rule"] = _chain_rule()
     out["op_norm_l2"] = [struct.pack("<d", co.op_norm_l2(cm.Blaschke(r), poly, 256))
                          for r in (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)]
     out["op_norm_l2"] += [struct.pack("<d", co.op_norm_l2(cm.Blaschke(0.3), const, N))
