@@ -16,6 +16,7 @@ computed matrix up to rounding; ``column_ratio`` certifies its ratio.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,11 @@ from . import weights as wt
 from .circlemaps import (Blaschke, certified_support, coeffs, compose, derivative_coeffs,
                          power_l1_bound, running_powers, weighted_power)
 from .circlemaps import compose_transform, power_coeffs  # noqa: F401  perfbench's tracer wraps them
-from .errors import AccuracyError, AdmissibilityError, ParameterError, SizeError
+from .errors import AccuracyError, AdmissibilityError, ParameterError, RangeError, SizeError
 from .seqalg import TruncSeq, convolve, formal_derivative, l1_diff, l1_norm, weighted_norm
 
 MAX_MATRIX_ENTRIES = 50_000_000
+_SPAN_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------
@@ -138,11 +140,17 @@ def _refuse_by_sample(phi: Blaschke, n_lo: int, n_hi: int, bottom: int, top: int
         return
     alpha = (1.0 + abs(phi.r)) / (1.0 - abs(phi.r))
     ncols = n_hi - n_lo + 1
-    for n in range(max(1, bottom), top + 1):
-        pos, neg = n_lo <= n <= n_hi, n_lo <= -n <= n_hi
-        span = 2 * math.floor(alpha * n) if pos and neg else \
-            math.floor(alpha * n) - math.ceil(n / alpha)
-        if span * ncols > MAX_MATRIX_ENTRIES:
+    # the loop's spans in blocks of _SPAN_BLOCK columns, so a long range takes no long array;
+    # a span times ncols is an integer, exact in float64 below 2^53, so it passes a cap
+    # below 2^53 exactly as the integer product does
+    for start in range(max(1, bottom), top + 1, _SPAN_BLOCK):
+        ns = np.arange(start, min(start + _SPAN_BLOCK, top + 1))
+        pos, neg = (n_lo <= ns) & (ns <= n_hi), (n_lo <= -ns) & (-ns <= n_hi)
+        hi = np.floor(alpha * ns)
+        span = np.where(pos & neg, 2.0 * hi, hi - np.ceil(ns / alpha))
+        over = np.flatnonzero(span * ncols > MAX_MATRIX_ENTRIES)
+        if over.size:
+            n, pos, neg = int(ns[over[0]]), bool(pos[over[0]]), bool(neg[over[0]])
             break
     else:
         return
@@ -255,10 +263,11 @@ def blowup_experiment(case: int, r: float, ns, p: float = 1.0,
 
 
 # ---------------------------------------------------------------------
-# l2 operator norm by a dense symmetric solve
+# l2 operator norm: the top Gram eigenvalue, then one shifted solve
 # ---------------------------------------------------------------------
 
 NORM_RESIDUAL_TOL = 1e-10
+TOP_EIGENVALUE_TOL = 1e-12
 
 
 def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
@@ -284,16 +293,20 @@ def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
 
     B = P^T A R, where the orthonormal columns of R and P are its input
     and output bases; A maps the span of R into that of P, and A^T back.
-    The unit top eigenvector v of the Gram matrix B^T B (dense symmetric
-    eigen-solve) gives sigma = ||B v|| = ||A R v|| with R v a unit
-    vector, so the returned value never exceeds ||A|| up to rounding: it
-    is a lower bound of the norm of the computed matrix, not of the exact
-    truncation.  The pair is checked by the residual ||B^T u - sigma v||
-    with u = B v / sigma, which equals the residual of the pair
-    (P u, R v) of A and so bounds the distance from sigma to a singular
-    value of A (Golub & Van Loan, ch. 8); an :class:`AccuracyError` is
-    raised when it exceeds ``NORM_RESIDUAL_TOL * sigma``.  A zero matrix
-    has norm 0.
+    The top eigenvalue lambda of the Gram matrix G = B^T B is computed
+    alone (eigenvalues only), and its unit eigenvector v by one step of
+    inverse iteration shifted a hair above it (``_top_singular_value``).
+    sigma = ||B v|| = ||A R v|| with R v a unit vector, so the returned
+    value never exceeds ||A|| up to rounding, whatever v is: it is a lower
+    bound of the norm of the computed matrix, not of the exact
+    truncation.  Two checks raise an :class:`AccuracyError`.  The
+    residual ||B^T u - sigma v||, u = B v / sigma, equals the residual of
+    the pair (P u, R v) of A and so bounds the distance from sigma to a
+    singular value of A (Golub & Van Loan, ch. 8); it must be at most
+    ``NORM_RESIDUAL_TOL * sigma``.  And sigma^2 must equal lambda to
+    ``TOP_EIGENVALUE_TOL`` relatively, so that singular value is the top
+    one the eigenvalue solve found, not a lower one v settled on.  A zero
+    matrix has norm 0.
     """
     if N < 0:
         raise ParameterError("N must be nonnegative")
@@ -313,12 +326,41 @@ def op_norm_l2(phi: Blaschke, w: wt.Weight, N: int) -> float:
 
 
 def _top_singular_value(B: np.ndarray) -> float:
-    """sigma = ||B v|| for the top eigenvector v of B^T B, residual-checked."""
-    v = np.linalg.eigh(B.T @ B)[1][:, -1]
+    """sigma = ||B v|| for the top eigenvector v of G = B^T B, checked against its eigenvalue.
+
+    The top eigenvalue lambda of G comes from an eigenvalue-only solve,
+    and v from one solve of (G - mu I) y = x, mu = lambda (1 + 4 eps)
+    within rounding of lambda.  x is a fixed pseudo-random vector
+    (uniform, seed 0), so its component along v is generic: under some
+    weights v is near the constant vector, under others near the
+    alternating one, so neither is a safe start.  The solve scales the
+    component along v by 1 / |lambda - mu| and the one along each other
+    eigenvector by only 1 / (mu - lambda_i) (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4), so one step settles v when the relative
+    gap below lambda far exceeds eps.  A repeated lambda leaves v in its
+    eigenspace, which is as good.  sigma^2 = lambda to
+    ``TOP_EIGENVALUE_TOL`` and the residual check of ``op_norm_l2``
+    certify the result, else :class:`AccuracyError`; a Gram matrix that
+    overflows raises :class:`RangeError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        G = B.T @ B
+    if not np.isfinite(G).all():
+        raise RangeError("the Gram matrix B^T B overflows")
+    lam = float(np.linalg.eigvalsh(G)[-1])
+    if not lam > 0.0:
+        return 0.0
+    n = G.shape[0]
+    G.flat[::n + 1] -= lam * (1.0 + 4.0 * np.finfo(float).eps)
+    rng = random.Random(0)
+    # x is scaled by lambda, so y is of order 1 / eps whatever the scale of G
+    y = np.linalg.solve(G, np.array([lam * (rng.random() - 0.5) for _ in range(n)]))
+    v = y / np.linalg.norm(y)
     Bv = B @ v
     sigma = float(np.linalg.norm(Bv))
-    if sigma == 0.0:
-        return 0.0
+    if not abs(sigma * sigma - lam) <= TOP_EIGENVALUE_TOL * lam:
+        raise AccuracyError(f"sigma^2 = {sigma * sigma!r} is not the top Gram eigenvalue "
+                            f"{lam!r} to {TOP_EIGENVALUE_TOL:g} relatively")
     residual = float(np.linalg.norm(B.T @ (Bv / sigma) - sigma * v))
     if not residual <= NORM_RESIDUAL_TOL * sigma:
         raise AccuracyError(

@@ -176,7 +176,7 @@ def test_each_trimmed_product_is_stored_once(monkeypatch):
 
 
 @pytest.mark.parametrize("cauchy_tol", [0.0, -1.0, float("nan"), float("inf")])
-def test_compose_transform_refuses_a_bad_tolerance_before_any_grid(monkeypatch, cauchy_tol):
+def test_compose_refuses_a_bad_tolerance_before_any_grid(monkeypatch, cauchy_tol):
     def no_grid(*args):
         raise AssertionError("a grid was built")
     monkeypatch.setattr(cm, "_compose_once", no_grid)
@@ -267,7 +267,7 @@ def test_compose_with_identity_map_is_identity():
     assert sa.l1_diff(f, g) < 1e-12
 
 
-def test_compose_transform_matches_pointwise_composition():
+def test_compose_matches_pointwise_composition():
     rng = np.random.default_rng(6)
     f = sa.TruncSeq(-5, rng.standard_normal(11))
     phi = cm.Blaschke(0.4)

@@ -1,5 +1,6 @@
 """Composition operators: matrices, norms, blow-up and distortion runs."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -254,6 +255,58 @@ def test_small_cap_is_refused_by_the_sampled_column(monkeypatch):
     assert steps == []
 
 
+def sampled_column_by_loop(r, n_lo, n_hi, cap):
+    """A scalar reference of the span prediction: (n, pos, neg) of the sampled column, or None."""
+    alpha = (1.0 + abs(r)) / (1.0 - abs(r))
+    bottom = 0 if n_lo <= 0 <= n_hi else min(abs(n_lo), abs(n_hi))
+    for n in range(max(1, bottom), max(abs(n_lo), abs(n_hi)) + 1):
+        pos, neg = n_lo <= n <= n_hi, n_lo <= -n <= n_hi
+        span = 2 * math.floor(alpha * n) if pos and neg else \
+            math.floor(alpha * n) - math.ceil(n / alpha)
+        if span * (n_hi - n_lo + 1) > cap:
+            return n, pos, neg
+    return None
+
+
+# the entry-cap requests of tools/outputs_digest.py (REFUSALS), then one-sided ranges; in the
+# last three the sampled column lies past the first block of predicted spans
+SAMPLED_COLUMN_REQUESTS = [(r, n_range, cap) for r in (0.5, -0.9, 0.99, 0.0)
+                           for n_range in ((-60, 60), (5, 40), (-40, -5), (-20, 35))
+                           for cap in (2_000, 20_000, 200_000)]
+SAMPLED_COLUMN_REQUESTS += [(r, (-300, 300), co.MAX_MATRIX_ENTRIES) for r in (0.99, -0.99)]
+SAMPLED_COLUMN_REQUESTS += [(0.9, (0, 300), 100_000), (-0.9, (-300, 0), 100_000),
+                            (0.6, (7, 7), 20), (0.6, (-7, -7), 20), (0.2, (1, 40), 10**9),
+                            (0.001, (1, 9000), 180_000), (-0.001, (-9000, -2), 180_000),
+                            (0.001, (-6000, 6000), 120_010_000)]
+
+
+@pytest.mark.parametrize("r, n_range, cap", SAMPLED_COLUMN_REQUESTS)
+def test_sampled_column_is_the_first_predicted_over_the_cap(monkeypatch, r, n_range, cap):
+    phi = cm.Blaschke(r)
+    n_lo, n_hi = n_range
+    top, tol = max(abs(n_lo), abs(n_hi)), 1e-10
+    expected = sampled_column_by_loop(r, n_lo, n_hi, cap) if r else None
+    probes, refused = [], False
+    monkeypatch.setattr(co, "MAX_MATRIX_ENTRIES", cap)
+    monkeypatch.setattr(co, "certified_support",
+                        lambda *args: probes.append(args[1]) or cm.certified_support(*args))
+    try:
+        co._refuse_by_sample(phi, n_lo, n_hi, 0 if n_lo <= 0 <= n_hi else min(map(abs, n_range)),
+                             top, tol)
+    except SizeError:
+        refused = True
+    assert probes == ([] if expected is None else [expected[0]])
+    rows = None if expected is None else cm.certified_support(phi, expected[0], top, tol)
+    if rows is not None:
+        n, pos, neg = expected
+        lo, hi = rows if pos else (-rows[1], -rows[0])
+        if pos and neg:
+            lo, hi = min(lo, -hi), max(hi, -lo)
+        assert refused == ((hi - lo + 1) * (n_hi - n_lo + 1) > cap)
+    else:
+        assert not refused
+
+
 @pytest.mark.parametrize("r, n_range, tol", [
     (0.5, (-40, 40), 1e-10), (0.9, (-60, 60), 1e-10), (-0.7, (-12, -3), 1e-10),
     (0.3, (5, 30), 1e-10), (0.7, (-4, 9), 1e-10), (-0.95, (-20, 35), 1e-10),
@@ -452,18 +505,59 @@ def test_op_norm_forward_equals_inverse(r):
     assert fwd == pytest.approx(inv, rel=1e-12)
 
 
+def weighted_quadrant(r, w, N):
+    """The even block op_norm_l2 solves, column-major as build_matrix writes it."""
+    mat = co.build_matrix(cm.Blaschke(r), (0, N))
+    rows, cols = np.arange(mat.m_hi + 1), np.arange(N + 1)
+    B = np.asfortranarray(mat.entries * w.eval_array(rows)[:, None] / w.eval_array(cols)[None, :])
+    B[0, 1:] *= np.sqrt(2.0)
+    return B
+
+
 @pytest.mark.parametrize("r, w, N", [(0.1, wt.polynomial(2.0), 32), (-0.2, wt.polynomial(2.0), 32),
                                      (0.05, wt.polynomial(2.0), 128), (0.5, wt.constant(), 32),
                                      (-0.2, wt.constant(), 64)])
 def test_op_norm_solves_the_row_major_weighted_quadrant(r, w, N):
     # the Gram product B^T B rounds by B's memory order: the solve takes the
     # quadrant in the column-major order build_matrix writes it
-    mat = co.build_matrix(cm.Blaschke(r), (0, N))
-    rows, cols = np.arange(mat.m_hi + 1), np.arange(N + 1)
-    B = np.asfortranarray(mat.entries * w.eval_array(rows)[:, None] / w.eval_array(cols)[None, :])
-    B[0, 1:] *= np.sqrt(2.0)
+    B = weighted_quadrant(r, w, N)
     assert B.flags.f_contiguous
     assert co.op_norm_l2(cm.Blaschke(r), w, N) == co._top_singular_value(B)
+
+
+# the distortion defaults, the unweighted-exact-norm inputs, and a Gram matrix of order 1e259
+ORACLE_CASES = [(r, wt.polynomial(2.0), 256) for r in (0.02, 0.05, 0.1, 0.2)] \
+    + [(0.3, wt.constant(), N) for N in (32, 128, 512)] + [(0.6, wt.exppoly(3.0), 60)]
+
+
+@pytest.mark.parametrize("r, w, N", ORACLE_CASES)
+def test_top_singular_value_matches_the_full_eigendecomposition(r, w, N):
+    B = weighted_quadrant(r, w, N)
+    # the oracle: ||B v|| for the top eigenvector of the full eigendecomposition of B^T B
+    oracle = float(np.linalg.norm(B @ np.linalg.eigh(B.T @ B)[1][:, -1]))
+    assert abs(co._top_singular_value(B) - oracle) <= 8 * np.spacing(oracle)
+
+
+def test_a_solve_that_settles_on_the_second_eigenvector_is_refused(monkeypatch):
+    # a genuine singular pair, so the residual passes; sigma^2 is the second Gram eigenvalue
+    B = weighted_quadrant(0.2, wt.polynomial(2.0), 64)
+    lams, V = np.linalg.eigh(B.T @ B)
+    assert (lams[-1] - lams[-2]) / lams[-1] > 1e-6
+    monkeypatch.setattr(np.linalg, "solve", lambda M, x: V[:, -2] * 3.0)
+    with pytest.raises(AccuracyError, match="not the top Gram eigenvalue"):
+        co._top_singular_value(B)
+
+
+def test_op_norm_reports_an_overflowing_gram_matrix_as_a_range_error():
+    # every weighted entry is finite, but B^T B is not; no RuntimeWarning comes first
+    with pytest.raises(RangeError, match="Gram matrix"):
+        co.op_norm_l2(cm.Blaschke(0.6), wt.exppoly(3.0), 100)
+
+
+def test_top_singular_value_of_a_zero_matrix_and_of_the_identity():
+    assert co._top_singular_value(np.zeros((5, 3), order="F")) == 0.0
+    assert co._top_singular_value(np.eye(4, order="F")) == 1.0
+    assert co._top_singular_value(np.eye(1, order="F")) == 1.0
 
 
 def test_op_norm_raises_when_the_residual_check_fails(monkeypatch):
@@ -484,20 +578,20 @@ def test_op_norm_at_the_smallest_truncations():
     assert co.op_norm_l2(cm.Blaschke(0.3), w, 1) == pytest.approx(1.7403135843503, abs=1e-12)
 
 
-def recorded_eigh_sizes(monkeypatch):
+def recorded_eigvalsh_sizes(monkeypatch):
     sizes = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def recording(G):
         sizes.append(G.shape[0])
-        return eigh(G)
+        return eigvalsh(G)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     return sizes
 
 
 def test_op_norm_solves_the_even_block_alone(monkeypatch):
-    sizes = recorded_eigh_sizes(monkeypatch)
+    sizes = recorded_eigvalsh_sizes(monkeypatch)
     co.op_norm_l2(cm.Blaschke(0.2), wt.polynomial(2.0), 32)
     assert sizes == [33]
 
@@ -519,7 +613,7 @@ def test_op_norm_bounds_the_odd_block(r, w):
 def test_op_norm_refuses_an_asymmetric_weight_before_any_solve(monkeypatch):
     # w(n) = exp(n / 100) on -100..100 covers the rows -79..79 of b_0.2 at N = 32
     w = wt.tabulated(np.exp(0.01 * np.arange(-100, 101)), lo=-100)
-    sizes = recorded_eigh_sizes(monkeypatch)
+    sizes = recorded_eigvalsh_sizes(monkeypatch)
     with pytest.raises(ParameterError, match="even weight"):
         co.op_norm_l2(cm.Blaschke(0.2), w, 32)
     assert sizes == []
